@@ -62,22 +62,19 @@ def canonical_data(pt: Point, m: int | None = None) -> CanonicalData:
 
 
 def du_pair(pt: Point, p, x: Tangent):
-    """<du(p), x> = (lam'(p) ab(p) - lbar'(p) a(p)) / w'(p)."""
+    """<du(p), x> = (lam'(p) ab(p) - lbar'(p) a(p)) / w'(p); a row of
+    values per point for a stacked point and tangent."""
     p = np.asarray(p, dtype=complex)
-    lp = pt.lam_p.evaluate(p)
-    bp = pt.lbar_p.evaluate(p)
-    a = x.a.evaluate(p) if not x.a.is_zero else np.zeros_like(p)
-    ab = x.ab.evaluate(p) if not x.ab.is_zero else np.zeros_like(p)
+    lp, bp = pt.lam_p.evaluate(p), pt.lbar_p.evaluate(p)
+    a, ab = x.a.evaluate(p), x.ab.evaluate(p)
     return (lp * ab - bp * a) / (lp + bp)
 
 
 def mu_pair(pt: Point, p, x: Tangent):
     """<dmu(p), x> = a(p)/lam'(p) - ab(p)/lbar'(p); du = -(lam' lbar'/w') dmu."""
     p = np.asarray(p, dtype=complex)
-    lp = pt.lam_p.evaluate(p)
-    bp = pt.lbar_p.evaluate(p)
-    a = x.a.evaluate(p) if not x.a.is_zero else np.zeros_like(p)
-    ab = x.ab.evaluate(p) if not x.ab.is_zero else np.zeros_like(p)
+    lp, bp = pt.lam_p.evaluate(p), pt.lbar_p.evaluate(p)
+    a, ab = x.a.evaluate(p), x.ab.evaluate(p)
     return a / lp - ab / bp
 
 
@@ -122,33 +119,26 @@ def char_velocities(pt: Point, flow, m: int | None = None) -> np.ndarray:
     flow is ("t", i), "u", ("s", n) or ("sbar", n).  The Lax-sector
     velocities carry no 1/n: they are z d/dz of the Lax generators
     (lam^n)_{>=0} and (lbar^n)_{<0}, matching the flows themselves.
+    A stacked point gets a row of velocities per point.
     """
     m = m or max(pt.quad_m(8), 256)
     p = la.unit_roots(m)
     if flow == "u":
-        return pt.ubarm1 / p
+        return np.divide.outer(pt.ubarm1, p)
     if flow == "v":
         return np.ones(m, dtype=complex)
     kind, n = flow
     if kind == "t":
-        lp = pt.lam_p.evaluate(p)
-        bp = pt.lbar_p.evaluate(p)
+        lp, bp = pt.lam_p.evaluate(p), pt.lbar_p.evaluate(p)
         sigma = lp / (lp + bp)
         f = pt.w_pow(n) * pt.w_p
         plus = f.project("geq", 0).evaluate(p)
         minus = f.project("leq", -1).evaluate(p)
         return -p * (sigma * plus + (sigma - 1.0) * minus)
     if kind == "s":
-        gen = _power(pt.lam, n).derivative().shift(1).project("geq", 0)
+        gen = (pt.lam**n).derivative().shift(1).project("geq", 0)
         return gen.evaluate(p)
     if kind == "sbar":
-        gen = _power(pt.lbar, n).derivative().shift(1).project("leq", -1)
+        gen = (pt.lbar**n).derivative().shift(1).project("leq", -1)
         return gen.evaluate(p)
     raise ValueError(f"unknown flow {flow!r}")
-
-
-def _power(f: la.LaurentSeries, n: int) -> la.LaurentSeries:
-    out = la.LaurentSeries.one()
-    for _ in range(n):
-        out = out * f
-    return out

@@ -21,24 +21,26 @@ class NewtonDiverged(ArithmeticError):
     """Inversion of the chart map failed to converge."""
 
 
-def _log_ratio_grid(pt: Point, m: int):
+def _log_ratio_grid(w: LS, w_p: LS, m: int, row0: int = 0):
     """Samples of log(z/w), w and w' on the m-point circle grid."""
-    zs = la.unit_roots(m)
-    wv = la.grid_eval(pt.w, m)
-    wpv = la.grid_eval(pt.w_p, m)
-    return la.log_values_on_circle(zs / wv), wv, wpv
+    wv = la.grid_eval(w, m)
+    return la.log_values_on_circle(la.unit_roots(m) / wv, row0), wv, la.grid_eval(w_p, m)
 
 
 def flat_coordinates(
     pt: Point, n_lo: int = -16, n_hi: int = 16, grid_size: int | None = None
-) -> dict[int, complex]:
-    """Coefficients t_n = (1/2 pi i) contour of log(z/w) w^{-n-1} w' dz."""
+) -> dict:
+    """Coefficients t_n = (1/2 pi i) contour of log(z/w) w^{-n-1} w' dz;
+    for a stacked point each t_n is an array with one entry per point."""
     m = grid_size or max(pt.quad_m(8 * max(abs(n_lo), abs(n_hi), 1)), 1024)
-    h, wv, wpv = _log_ratio_grid(pt, m)
-    out: dict[int, complex] = {}
-    for n in range(n_lo, n_hi + 1):
-        out[n] = la.contour_mean(h * wv ** (-n - 1) * wpv)
-    return out
+    ns = range(n_lo, n_hi + 1)
+
+    def rows(w, w_p, row0):
+        h, wv, wpv = _log_ratio_grid(w, w_p, m, row0)
+        return np.stack([la.contour_mean(h * wv ** (-n - 1) * wpv) for n in ns], axis=-1)
+
+    ts = la.by_row_blocks(rows, (pt.w, pt.w_p), m)
+    return dict(zip(ns, ts.tolist() if ts.ndim == 1 else ts.T))
 
 
 def point_from_flat(
@@ -145,6 +147,6 @@ def log_ratio_pairing(pt: Point, grid_size: int | None = None) -> complex:
     consistency check of the chart and inside the potential.
     """
     m = grid_size or max(pt.quad_m(16), 1024)
-    h, wv, _ = _log_ratio_grid(pt, m)
+    h, wv, _ = _log_ratio_grid(pt.w, pt.w_p, m)
     zs = la.unit_roots(m)
     return la.contour_mean(-(wv / zs) * h)

@@ -166,10 +166,6 @@ def field_dist(f: LoopField, g: LoopField) -> float:
     return (f - g).max_abs()
 
 
-def node_series(f: LoopField, k: int) -> LS:
-    return LS(f.lo, f.coeffs[:, k])
-
-
 def pb(f: LoopField, g: LoopField) -> LoopField:
     """Cylinder bracket z f_z g_x - z g_z f_x."""
     return f.zdz() * g.x_deriv() - g.zdz() * f.x_deriv()
@@ -237,12 +233,14 @@ def _slots(obj):
     return obj
 
 
-def node_point(L: LoopPoint, k: int) -> mf.Point:
-    return mf.Point(node_series(L.lam, k), node_series(L.lbar, k))
+def _nodes(f: LoopField) -> LS:
+    """f read nodewise: a stack whose row k is the z-series at node k."""
+    return LS(f.lo, f.coeffs.T)
 
 
-def node_tangent(t: LoopTangent, k: int) -> mf.Tangent:
-    return mf.Tangent(node_series(t.a, k), node_series(t.ab, k))
+def _node_points(L: LoopPoint) -> mf.Point:
+    """The loop's manifold points at all its nodes, as one stacked Point."""
+    return mf.Point(_nodes(L.lam), _nodes(L.lbar))
 
 
 def from_point(pt: mf.Point, nodes: int) -> LoopPoint:
@@ -384,37 +382,21 @@ def _field_power(f: LoopField, n: int) -> LoopField:
     return out
 
 
-def _inv_halfband(L: LoopPoint) -> int:
-    band_n = max(-L.lam.lo, L.lbar.hi, 2)
-    return max(3 * band_n + 16, mf.MIN_INV_HALFBAND)
-
-
 def w_power_field(L: LoopPoint, n: int) -> LoopField:
-    """w ** n as a loop field; negative powers by certified division."""
+    """w ** n as a loop field; negative powers by certified division,
+    every node in one stacked call."""
     if n >= 0:
         return _field_power(L.w, n)
-    h = _inv_halfband(L)
-    w = L.w
-    rows = np.zeros((2 * h + 1, L.nodes), dtype=complex)
-    one = LS(0, [1.0])
-    for k in range(L.nodes):
-        den = node_series(w, k)
-        acc = den
-        for _ in range(-n - 1):
-            acc = acc * den
-        q = la.divide_on_circle(one, acc, -h + n, h + n)
-        rows[:, k] = q.window(-h + n, h + n)
-    return LoopField(-h + n, rows).trim()
+    q = _node_points(L).w_pow(n)
+    return LoopField(q.lo, q.c.T).trim()
 
 
 def log_w_field(L: LoopPoint) -> LoopField:
     """log(w/z) nodewise, certified winding-zero on every node."""
-    h = _inv_halfband(L)
-    rows = np.zeros((2 * h + 1, L.nodes), dtype=complex)
-    for k in range(L.nodes):
-        g = la.log_on_circle(node_series(L.w, k).shift(-1), -h, h)
-        rows[:, k] = g.window(-h, h)
-    return LoopField(-h, rows).trim()
+    pt = _node_points(L)
+    h = pt.inv_halfband
+    g = la.log_on_circle(pt.w.shift(-1), -h, h)
+    return LoopField(g.lo, g.c.T).trim()
 
 
 def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
@@ -447,22 +429,18 @@ def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
     return dlam, dlbar
 
 
-def lax_rhs(L: LoopPoint, n: int, bar: bool = False) -> LoopTangent:
-    t, defect = tangent_part(L, *flow_rhs(L, ("sbar" if bar else "s", n)))
+def _flow_tangent(L: LoopPoint, flow) -> LoopTangent:
+    """The flow's tangent at L, refused when trimming it to the tangent
+    windows discards more than TAIL_LIMIT of it."""
+    t, defect = tangent_part(L, *flow_rhs(L, flow))
     if defect > TAIL_LIMIT:
         raise TailOverflow(f"flow field defect {defect:.3e} beyond tolerance")
     return t
 
 
 def primary_rhs(L: LoopPoint, flow) -> LoopTangent:
-    if flow in ("u", "v") or isinstance(flow, tuple):
-        tag = flow
-    else:
-        tag = ("t", flow)
-    t, defect = tangent_part(L, *flow_rhs(L, tag))
-    if defect > TAIL_LIMIT:
-        raise TailOverflow(f"flow field defect {defect:.3e} beyond tolerance")
-    return t
+    tag = flow if flow in ("u", "v") or isinstance(flow, tuple) else ("t", flow)
+    return _flow_tangent(L, tag)
 
 
 # -- Hamiltonians ------------------------------------------------------
@@ -474,11 +452,8 @@ def hamiltonian(L: LoopPoint, n: int, bar: bool = False) -> complex:
     if n == -1:
         if bar:
             return complex(np.mean(L.lbar.row(0)))
-        vals = [
-            fc.flat_coordinates(node_point(L, k), -1, -1)[-1]
-            for k in range(L.nodes)
-        ]
-        return complex(-np.mean(np.asarray(vals) + L.lbar.row(0)))
+        t = fc.flat_coordinates(_node_points(L), -1, -1)[-1]
+        return complex(-np.mean(t + L.lbar.row(0)))
     f = L.lbar if bar else L.lam
     p = _field_power(f, n + 1)
     return complex(-np.mean(p.row(0)) / (n + 1))
@@ -570,7 +545,7 @@ def primary_gradient_fd(L: LoopPoint, which, eps: float = 1e-6, pad: int = 12) -
     w1 = np.zeros((1 - lam_lo, nodes), dtype=complex)
     w2 = np.zeros((bar_hi + 2, nodes), dtype=complex)
     for k in range(nodes):
-        pt = node_point(L, k)
+        pt = mf.Point(LS(L.lam.lo, L.lam.coeffs[:, k]), LS(L.lbar.lo, L.lbar.coeffs[:, k]))
         for d in range(lam_lo, 1):
             bump = LS.monomial(d, eps)
             hi = func(mf.Point(pt.lam + bump, pt.lbar))
@@ -595,16 +570,10 @@ def _advance(L: LoopPoint, t: LoopTangent, h: float) -> LoopPoint:
 
 
 def rk4_step(L: LoopPoint, flow, h: float) -> LoopPoint:
-    def rhs(P: LoopPoint) -> LoopTangent:
-        t, defect = tangent_part(P, *flow_rhs(P, flow))
-        if defect > TAIL_LIMIT:
-            raise TailOverflow(f"flow field defect {defect:.3e} beyond tolerance")
-        return t
-
-    k1 = rhs(L)
-    k2 = rhs(_advance(L, k1, 0.5 * h))
-    k3 = rhs(_advance(L, k2, 0.5 * h))
-    k4 = rhs(_advance(L, k3, h))
+    k1 = _flow_tangent(L, flow)
+    k2 = _flow_tangent(_advance(L, k1, 0.5 * h), flow)
+    k3 = _flow_tangent(_advance(L, k2, 0.5 * h), flow)
+    k4 = _flow_tangent(_advance(L, k3, h), flow)
     a = k1.a + k2.a.scale(2.0) + k3.a.scale(2.0) + k4.a
     ab = k1.ab + k2.ab.scale(2.0) + k3.ab.scale(2.0) + k4.ab
     out = _advance(L, LoopTangent(a, ab), h / 6.0)
@@ -658,22 +627,18 @@ def transport_residual(L: LoopPoint, flow, m_p: int = 64, velocity=None) -> floa
     Both derivatives are taken at fixed sigma.  The critical-point
     relation sigma*lbar' + (sigma-1)*lam' = 0 kills the dp/dx terms in
     the chain rule, so the fixed-sigma x-derivative is the canonical
-    pairing of du(p) with the x-translation field."""
-    pts = [node_point(L, k) for k in range(L.nodes)]
+    pairing of du(p) with the x-translation field.
+
+    Every node is evaluated at once, on the stacked point of the loop; a
+    callable velocity is called as velocity(pt, m_p) with that point."""
+    pt = _node_points(L)
     p = la.unit_roots(m_p)
     t, _ = tangent_part(L, *flow_rhs(L, flow))
     tv, _ = tangent_part(L, *flow_rhs(L, "v"))
+    dt_u, dx_u = (ca.du_pair(pt, p, mf.Tangent(_nodes(x.a), _nodes(x.ab))) for x in (t, tv))
     vflow = velocity if velocity is not None else flow
-    worst = 0.0
-    for k, pt in enumerate(pts):
-        dt_u = ca.du_pair(pt, p, node_tangent(t, k))
-        dx_u = ca.du_pair(pt, p, node_tangent(tv, k))
-        if callable(vflow):
-            vel = vflow(pt, m_p)
-        else:
-            vel = ca.char_velocities(pt, vflow, m_p)
-        worst = max(worst, float(np.max(np.abs(dt_u - vel * dx_u))))
-    return worst
+    vel = vflow(pt, m_p) if callable(vflow) else ca.char_velocities(pt, vflow, m_p)
+    return float(np.max(np.abs(dt_u - vel * dx_u)))
 
 
 # -- serialization -----------------------------------------------------

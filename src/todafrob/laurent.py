@@ -6,6 +6,11 @@ Truncation enters only through the circle-grid routines (division,
 reciprocal, logarithm): those sample on a uniform grid of roots of
 unity, reconstruct coefficients by FFT, and certify both the discarded
 tail and the residual of the defining equation before returning.
+
+A series may also be a stack of K series on one band, coefficients of
+shape (K, width): everything then acts row by row (FFTs along the last
+axis), a one-row series combines with every row, and each row is
+certified on its own (a refusal names the worst row of its row block).
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import numpy as np
 
 DEFAULT_TAIL_TOL = 1e-12
 CERT_RESIDUAL_TOL = 1e-11
+# Stacked circle operations run on blocks of ROW_BLOCK_BYTES // (16 m)
+# rows, so each m-point temporary stays near 256 KiB whatever K is.
+ROW_BLOCK_BYTES = 1 << 18
 
 
 class BandTooWide(ValueError):
@@ -51,24 +59,25 @@ class GridMismatch(ValueError):
 class LaurentSeries:
     """Finite band of complex coefficients c[d] for lo <= d <= hi.
 
-    Normal form trims exact zeros at both ends; the zero series has an
-    empty coefficient array.  Instances are treated as immutable.
+    c is one row, or a stack of shape (K, width) holding K series.  Normal
+    form trims degrees zero in every row at both ends; the zero series has
+    no columns.  Instances are treated as immutable.
     """
 
     __slots__ = ("lo", "c")
 
     def __init__(self, lo: int, coeffs) -> None:
         c = np.asarray(coeffs, dtype=complex)
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        nz = np.nonzero(c)[0]
+        if c.ndim not in (1, 2):
+            raise ValueError("coefficients must be one row or a stack of rows")
+        nz = np.nonzero(c if c.ndim == 1 else np.any(c, axis=0))[0]
         if len(nz) == 0:
             self.lo = 0
-            self.c = np.zeros(0, dtype=complex)
+            self.c = np.zeros(c.shape[:-1] + (0,), dtype=complex)
         else:
             a, b = nz[0], nz[-1] + 1
             self.lo = int(lo) + int(a)
-            self.c = c[a:b].copy()
+            self.c = c[..., a:b].copy()
 
     # -- constructors -------------------------------------------------
 
@@ -88,29 +97,31 @@ class LaurentSeries:
 
     @property
     def hi(self) -> int:
-        return self.lo + len(self.c) - 1
+        return self.lo + self.c.shape[-1] - 1
 
     @property
     def is_zero(self) -> bool:
-        return len(self.c) == 0
+        return self.c.shape[-1] == 0
 
-    def coeff(self, d: int) -> complex:
+    def coeff(self, d: int):
+        """The degree-d coefficient; one per row (an array) for a stack."""
+        stacked = self.c.ndim == 2
         if self.is_zero or d < self.lo or d > self.hi:
-            return 0.0 + 0.0j
-        return complex(self.c[d - self.lo])
+            return np.zeros(self.c.shape[0], dtype=complex) if stacked else 0.0 + 0.0j
+        return self.c[:, d - self.lo] if stacked else complex(self.c[d - self.lo])
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Coefficients on [lo, hi] as a dense array (zero padded)."""
-        out = np.zeros(hi - lo + 1, dtype=complex)
+        out = np.zeros(self.c.shape[:-1] + (hi - lo + 1,), dtype=complex)
         if not self.is_zero:
             a = max(self.lo, lo)
             b = min(self.hi, hi)
             if a <= b:
-                out[a - lo : b - lo + 1] = self.c[a - self.lo : b - self.lo + 1]
+                out[..., a - lo : b - lo + 1] = self.c[..., a - self.lo : b - self.lo + 1]
         return out
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.c))) if len(self.c) else 0.0
+        return float(np.max(np.abs(self.c))) if self.c.size else 0.0
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -126,9 +137,7 @@ class LaurentSeries:
             return self
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
-        out = self.window(lo, hi)
-        out += other.window(lo, hi)
-        return LaurentSeries(lo, out)
+        return LaurentSeries(lo, self.window(lo, hi) + other.window(lo, hi))
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -143,11 +152,23 @@ class LaurentSeries:
         if isinstance(other, LaurentSeries):
             if self.is_zero or other.is_zero:
                 return LaurentSeries.zero()
-            return LaurentSeries(self.lo + other.lo, np.convolve(self.c, other.c))
+            if self.c.ndim == other.c.ndim == 1:
+                return LaurentSeries(self.lo + other.lo, np.convolve(self.c, other.c))
+            a, b = np.atleast_2d(self.c), np.atleast_2d(other.c)
+            out = np.zeros((max(len(a), len(b)), a.shape[1] + b.shape[1] - 1), dtype=complex)
+            for i in range(a.shape[1]):
+                out[:, i : i + b.shape[1]] += a[:, i : i + 1] * b
+            return LaurentSeries(self.lo + other.lo, out)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
+
+    def __pow__(self, n: int) -> "LaurentSeries":
+        out = LaurentSeries.one()
+        for _ in range(n):
+            out = out * self
+        return out
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by z**k."""
@@ -162,13 +183,13 @@ class LaurentSeries:
                 return self
             if self.hi < k:
                 return LaurentSeries.zero()
-            return LaurentSeries(k, self.c[k - self.lo :])
+            return LaurentSeries(k, self.c[..., k - self.lo :])
         if kind == "leq":
             if self.hi <= k:
                 return self
             if self.lo > k:
                 return LaurentSeries.zero()
-            return LaurentSeries(self.lo, self.c[: k - self.lo + 1])
+            return LaurentSeries(self.lo, self.c[..., : k - self.lo + 1])
         raise ValueError(f"unknown projection kind {kind!r}")
 
     def restrict(self, lo: int, hi: int) -> "LaurentSeries":
@@ -193,13 +214,14 @@ class LaurentSeries:
         return self.coeff(-1)
 
     def evaluate(self, z) -> np.ndarray:
-        """Evaluate at arbitrary nonzero complex points."""
+        """Evaluate at nonzero complex points (a set of values per row)."""
         z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
+        out = np.zeros(self.c.shape[:-1] + z.shape, dtype=complex)
         if self.is_zero:
             return out
         # Horner on the polynomial part, then shift by z**lo.
-        for ck in self.c[::-1]:
+        cols = self.c.T if self.c.ndim == 1 else self.c.T[(...,) + (None,) * z.ndim]
+        for ck in cols[::-1]:
             out = out * z + ck
         return out * z**self.lo
 
@@ -207,10 +229,6 @@ class LaurentSeries:
 def pi_op(f: LaurentSeries) -> LaurentSeries:
     """Projection difference (f)_{>=0} - (f)_{<=-1}."""
     return f.project("geq", 0) - f.project("leq", -1)
-
-
-def almost_equal(f: LaurentSeries, g: LaurentSeries, tol: float) -> bool:
-    return series_dist(f, g) <= tol
 
 
 def series_dist(f: LaurentSeries, g: LaurentSeries) -> float:
@@ -223,7 +241,10 @@ def series_dist(f: LaurentSeries, g: LaurentSeries) -> float:
 
 @lru_cache(maxsize=32)
 def unit_roots(m: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    """The m-th roots of unity, read-only: the cached array is shared."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    roots.setflags(write=False)
+    return roots
 
 
 def default_grid_size(width: int) -> int:
@@ -235,51 +256,82 @@ def default_grid_size(width: int) -> int:
 
 
 def grid_eval(f: LaurentSeries, m: int) -> np.ndarray:
-    """Values at the m-th roots of unity.  Exact for any m (degrees fold
-    mod m before the inverse FFT, which is the identity they satisfy on
-    the grid)."""
-    folded = np.zeros(m, dtype=complex)
-    if not f.is_zero:
-        degs = np.arange(f.lo, f.hi + 1)
-        np.add.at(folded, degs % m, f.c)
-    return m * np.fft.ifft(folded)
+    """Values at the m-th roots of unity, one row per row of a stack.
+    Exact for any m (degrees fold mod m before the inverse FFT, which is
+    the identity they satisfy on the grid)."""
+    folded = np.zeros(f.c.shape[:-1] + (m,), dtype=complex)
+    a, width = 0, f.c.shape[-1]
+    while a < width:  # runs of consecutive degrees that do not wrap around
+        node = (f.lo + a) % m
+        run = min(m - node, width - a)
+        folded[..., node : node + run] += f.c[..., a : a + run]
+        a += run
+    return m * np.fft.ifft(folded, axis=-1)
 
 
 def grid_to_series(values: np.ndarray, lo: int, hi: int) -> LaurentSeries:
-    """Recover coefficients on [lo, hi] from values at len(values) roots
-    of unity.  Exact when the function is supported on the band; degrees
-    outside it alias onto the band mod m."""
+    """Recover coefficients on [lo, hi] from values at the roots of unity
+    on the last axis (a stack for stacked values).  Exact when the function
+    is supported on the band; degrees outside it alias onto the band mod m."""
     values = np.asarray(values, dtype=complex)
-    m = len(values)
+    m = values.shape[-1]
     if m <= hi - lo:
         raise BandTooWide(f"band [{lo},{hi}] needs more than {m} samples")
-    chat = np.fft.fft(values) / m
+    chat = np.fft.fft(values, axis=-1) / m
     degs = np.arange(lo, hi + 1)
-    return LaurentSeries(lo, chat[degs % m])
+    return LaurentSeries(lo, chat[..., degs % m])
+
+
+def by_row_blocks(fn, series: tuple, m: int) -> np.ndarray:
+    """fn(*series, row0) on blocks of ROW_BLOCK_BYTES // (16 m) rows of the
+    stacked series, joined row-wise; row0 is the block's first row, and a
+    one-row series goes whole to every block.  No stack: fn(*series, 0)."""
+    rows = [len(f.c) for f in series if f.c.ndim == 2]
+    if not rows:
+        return fn(*series, 0)
+    step = max(1, ROW_BLOCK_BYTES // (16 * m))
+    return np.concatenate([
+        fn(*(f if f.c.ndim == 1 else LaurentSeries(f.lo, f.c[a : a + step]) for f in series), a)
+        for a in range(0, rows[0], step)
+    ])
+
+
+def _refuse(exc, bad, severity, row0: int, message) -> None:
+    """Raise exc(message(k)) if any row is bad, k being the bad row of
+    highest severity; stacked rows are named by their index in the stack."""
+    bad = np.asarray(bad)
+    if bad.any():
+        k = int(np.argmax(np.where(bad, severity, -np.inf)))
+        raise exc(message(k) + (f" (row {row0 + k})" if bad.ndim else ""))
+
+
+def _row_max(vals: np.ndarray, row0: int, message: str):
+    """Each row's largest |value|; rows vanishing on the circle are refused."""
+    mag = np.abs(vals)
+    vmax, vmin = mag.max(axis=-1), mag.min(axis=-1)
+    _refuse(ZeroOnCircle, vmin <= 1e-10 * vmax, -vmin / np.maximum(vmax, 1e-300), row0,
+            lambda k: message)
+    return vmax
 
 
 # -- certified circle operations --------------------------------------
 
 
-def _recovery_window(lo: int, hi: int, m: int) -> tuple[int, int]:
-    """Window of m consecutive degrees centered on [lo, hi]."""
-    center = (lo + hi) // 2
-    wlo = center - m // 2
-    return wlo, wlo + m - 1
-
-
-def _certify(full: LaurentSeries, lo: int, hi: int, tail_tol: float) -> LaurentSeries:
-    gmax = full.max_abs()
-    out = full.restrict(lo, hi)
-    tail = max(
-        full.project("leq", lo - 1).max_abs(),
-        full.project("geq", hi + 1).max_abs(),
-    )
-    if tail > tail_tol * max(gmax, 1e-300):
-        raise TruncationLoss(
-            f"tail {tail:.3e} exceeds {tail_tol:.1e} * max-coefficient on [{lo},{hi}]"
-        )
-    return out
+def _certify(vals: np.ndarray, lo: int, hi: int, tail_tol: float, row0: int) -> np.ndarray:
+    """Coefficients on [lo, hi] from grid values, recovered on the m degrees
+    centered on [lo, hi]; a row is refused when its dropped tail is not
+    below tail_tol times that row's own largest coefficient."""
+    m = vals.shape[-1]
+    wlo = (lo + hi) // 2 - m // 2
+    whi = wlo + m - 1
+    full = grid_to_series(vals, wlo, whi)
+    mag = np.abs(full.window(wlo, whi))
+    degs = np.arange(wlo, whi + 1)
+    gmax = np.maximum(mag.max(axis=-1), 1e-300)
+    tail = mag[..., (degs < lo) | (degs > hi)].max(axis=-1, initial=0.0)
+    _refuse(TruncationLoss, tail > tail_tol * gmax, tail / gmax, row0, lambda k: (
+        f"tail {np.ravel(tail)[k]:.3e} exceeds {tail_tol:.1e} * max-coefficient on [{lo},{hi}]"))
+    return full.window(lo, hi)
 
 
 def divide_on_circle(
@@ -290,7 +342,7 @@ def divide_on_circle(
     tail_tol: float = DEFAULT_TAIL_TOL,
     grid_size: int | None = None,
 ) -> LaurentSeries:
-    """Certified num/den on the band [lo, hi].
+    """Certified num/den on the band [lo, hi], row by row for stacks.
 
     Samples both operands on the grid, divides pointwise, reconstructs
     on a window of full grid length, and checks that everything dropped
@@ -299,19 +351,20 @@ def divide_on_circle(
     against the defining equation den*g = num on the grid.
     """
     m = grid_size or default_grid_size(hi - lo)
-    den_vals = grid_eval(den, m)
-    dmax = float(np.max(np.abs(den_vals)))
-    if dmax == 0.0 or float(np.min(np.abs(den_vals))) <= 1e-10 * dmax:
-        raise ZeroOnCircle("divisor vanishes on the unit circle")
-    num_vals = grid_eval(num, m)
-    wlo, whi = _recovery_window(lo, hi, m)
-    full = grid_to_series(num_vals / den_vals, wlo, whi)
-    g = _certify(full, lo, hi, tail_tol)
-    resid = np.max(np.abs(grid_eval(g, m) * den_vals - num_vals))
-    scale = max(float(np.max(np.abs(num_vals))), dmax * max(g.max_abs(), 1.0))
-    if resid > CERT_RESIDUAL_TOL * scale:
-        raise TruncationLoss(f"division residual {resid:.3e} not certified on [{lo},{hi}]")
-    return g
+
+    def rows(num, den, row0):
+        den_vals = grid_eval(den, m)
+        dmax = _row_max(den_vals, row0, "divisor vanishes on the unit circle")
+        num_vals = grid_eval(num, m)
+        g = _certify(num_vals / den_vals, lo, hi, tail_tol, row0)
+        resid = np.abs(grid_eval(LaurentSeries(lo, g), m) * den_vals - num_vals).max(axis=-1)
+        gmax = np.abs(g).max(axis=-1)
+        scale = np.maximum(np.abs(num_vals).max(axis=-1), dmax * np.maximum(gmax, 1.0))
+        _refuse(TruncationLoss, resid > CERT_RESIDUAL_TOL * scale, resid / scale, row0, lambda k: (
+            f"division residual {np.ravel(resid)[k]:.3e} not certified on [{lo},{hi}]"))
+        return g
+
+    return LaurentSeries(lo, by_row_blocks(rows, (num, den), m))
 
 
 def reciprocal_on_circle(
@@ -325,36 +378,40 @@ def reciprocal_on_circle(
     return divide_on_circle(LaurentSeries.one(), f, lo, hi, tail_tol, grid_size)
 
 
-def unwrap_on_circle(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Continuous phases along the circle and the winding number.
+def unwrap_on_circle(values: np.ndarray, row0: int = 0):
+    """Continuous phases along the circle (the last axis) and the winding
+    number, one per row for stacked values; row0 is the stack index of
+    the first row, for refusals.
 
     Raises WindingUnresolved when any step between adjacent samples
     exceeds pi/2, i.e. when the grid is too coarse to track the phase.
     """
     values = np.asarray(values, dtype=complex)
-    if np.min(np.abs(values)) == 0.0:
-        raise ZeroOnCircle("cannot unwrap a phase through zero")
-    steps = np.angle(np.roll(values, -1) / values)
-    if np.max(np.abs(steps)) > np.pi / 2:
-        raise WindingUnresolved("phase step above pi/2 between adjacent samples")
-    winding = int(round(float(np.sum(steps)) / (2 * np.pi)))
-    phases = np.angle(values[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-    return phases, winding
+    vmin = np.abs(values).min(axis=-1)
+    _refuse(ZeroOnCircle, vmin == 0.0, -vmin, row0, lambda k: "cannot unwrap a phase through zero")
+    steps = np.angle(np.roll(values, -1, axis=-1) / values)
+    jump = np.abs(steps).max(axis=-1)
+    _refuse(WindingUnresolved, jump > np.pi / 2, jump, row0,
+            lambda k: "phase step above pi/2 between adjacent samples")
+    winding = np.rint(np.sum(steps, axis=-1) / (2 * np.pi)).astype(int)
+    start = np.zeros(values.shape[:-1] + (1,))
+    turned = np.concatenate((start, np.cumsum(steps[..., :-1], axis=-1)), axis=-1)
+    return np.angle(values[..., :1]) + turned, (winding if winding.ndim else int(winding))
 
 
-def circle_winding(values: np.ndarray) -> int:
+def circle_winding(values: np.ndarray):
     return unwrap_on_circle(values)[1]
 
 
-def log_values_on_circle(values: np.ndarray) -> np.ndarray:
+def log_values_on_circle(values: np.ndarray, row0: int = 0) -> np.ndarray:
     """Pointwise log with a globally consistent winding-zero branch.
 
     Principal branch at the first node, continued by unwrapping; raises
-    WindingNonzero if the values wind around the origin.
+    WindingNonzero if the values (any row of them) wind around the origin.
     """
-    phases, winding = unwrap_on_circle(values)
-    if winding != 0:
-        raise WindingNonzero(f"winding {winding} != 0, no single-valued logarithm")
+    phases, winding = unwrap_on_circle(values, row0)
+    _refuse(WindingNonzero, np.asarray(winding) != 0, np.abs(winding), row0, lambda k: (
+        f"winding {np.ravel(winding)[k]} != 0, no single-valued logarithm"))
     return np.log(np.abs(values)) + 1j * phases
 
 
@@ -365,27 +422,23 @@ def log_on_circle(
     tail_tol: float = DEFAULT_TAIL_TOL,
     grid_size: int | None = None,
 ) -> LaurentSeries:
-    """Certified log f on [lo, hi] for winding-zero f.
+    """Certified log f on [lo, hi] for winding-zero f, row by row for stacks.
 
     The branch is the principal logarithm at the first grid node,
     continued around the circle by unwrapped phases.
     """
     m = grid_size or default_grid_size(hi - lo)
-    vals = grid_eval(f, m)
-    fmax = float(np.max(np.abs(vals)))
-    if fmax == 0.0 or float(np.min(np.abs(vals))) <= 1e-10 * fmax:
-        raise ZeroOnCircle("logarithm of a function vanishing on the circle")
-    phases, winding = unwrap_on_circle(vals)
-    if winding != 0:
-        raise WindingNonzero(f"winding {winding} != 0, no single-valued logarithm")
-    log_vals = np.log(np.abs(vals)) + 1j * phases
-    wlo, whi = _recovery_window(lo, hi, m)
-    full = grid_to_series(log_vals, wlo, whi)
-    g = _certify(full, lo, hi, tail_tol)
-    resid = np.max(np.abs(np.exp(grid_eval(g, m)) - vals))
-    if resid > CERT_RESIDUAL_TOL * fmax:
-        raise TruncationLoss(f"log residual {resid:.3e} not certified on [{lo},{hi}]")
-    return g
+
+    def rows(f, row0):
+        vals = grid_eval(f, m)
+        fmax = _row_max(vals, row0, "logarithm of a function vanishing on the circle")
+        g = _certify(log_values_on_circle(vals, row0), lo, hi, tail_tol, row0)
+        resid = np.abs(np.exp(grid_eval(LaurentSeries(lo, g), m)) - vals).max(axis=-1)
+        _refuse(TruncationLoss, resid > CERT_RESIDUAL_TOL * fmax, resid / fmax, row0, lambda k: (
+            f"log residual {np.ravel(resid)[k]:.3e} not certified on [{lo},{hi}]"))
+        return g
+
+    return LaurentSeries(lo, by_row_blocks(rows, (f,), m))
 
 
 def taylor_reciprocal_at_zero(f: LaurentSeries, order: int) -> LaurentSeries:
@@ -407,15 +460,16 @@ def taylor_reciprocal_at_zero(f: LaurentSeries, order: int) -> LaurentSeries:
     return LaurentSeries(0, g)
 
 
-def contour_mean(values: np.ndarray, radius: float = 1.0) -> complex:
-    """(1/2 pi i) * contour integral of f dz from samples on |z|=radius.
+def contour_mean(values: np.ndarray, radius: float = 1.0):
+    """(1/2 pi i) * contour integral of f dz from samples on |z|=radius
+    (the last axis; one mean per row for stacked values).
 
     Trapezoidal rule on a circle: exact for banded integrands once the
     grid resolves the band, exponentially accurate for analytic ones.
     """
-    m = len(values)
-    zs = radius * unit_roots(m)
-    return complex(np.mean(values * zs))
+    values = np.asarray(values)
+    mean = (values * (radius * unit_roots(values.shape[-1]))).mean(axis=-1)
+    return complex(mean) if mean.ndim == 0 else mean
 
 
 # -- serialization ----------------------------------------------------

@@ -86,7 +86,10 @@ class Cotangent:
 
 
 class Point:
-    """Manifold point (lam, lbar) with cached derived series."""
+    """Manifold point (lam, lbar) with cached derived series.
+
+    With stacked series it holds one point per row (the points of a loop
+    at its nodes), and the derived series are stacks too."""
 
     __slots__ = ("lam", "lbar", "_cache")
 
@@ -94,12 +97,14 @@ class Point:
         _band_check(lam, None, 1, "lam")
         _band_check(lbar, -1, None, "lbar")
         c1 = lam.coeff(1)
-        if abs(c1 - 1.0) > 1e-9:
+        drift = np.max(np.abs(c1 - 1.0)) if lam.c.ndim == 2 else abs(c1 - 1.0)
+        if drift > 1e-9:
             raise ValueError(f"z^1 coefficient of lam must be 1, got {c1}")
-        if c1 != 1.0:
+        if drift != 0.0:
             # renormalize rounding drift away; the constraint is exact
-            lam = lam + LS.monomial(1, 1.0 - c1)
-        if abs(lbar.coeff(-1)) < 1e-10:
+            lam = lam + LS(1, np.reshape(1.0 - c1, np.shape(c1) + (1,)))
+        bm1 = abs(lbar.coeff(-1))
+        if (np.min(bm1) if lbar.c.ndim == 2 else bm1) < 1e-10:
             raise ValueError("1/z coefficient of lbar must be nonzero")
         self.lam = lam
         self.lbar = lbar
@@ -188,16 +193,9 @@ class Point:
 
         def build():
             if m >= 0:
-                out = LS.one()
-                for _ in range(m):
-                    out = out * self.w
-                return out
+                return self.w**m
             h = self.inv_halfband
-            num = LS.one()
-            den = LS.one()
-            for _ in range(-m):
-                den = den * self.w
-            return la.divide_on_circle(num, den, -h + m, h + m)
+            return la.divide_on_circle(LS.one(), self.w**-m, -h + m, h + m)
 
         return self._get(("w_pow", m), build)
 
@@ -215,15 +213,6 @@ class Point:
 def unit_tangent() -> Tangent:
     """e = d/dv = (-1, 1)."""
     return Tangent(LS(0, [-1.0]), LS(0, [1.0]))
-
-
-def unit_cotangent(pt: Point) -> Cotangent:
-    """e* = (0, 1/ubar_{-1}), the identity of the cotangent product."""
-    return Cotangent(LS.zero(), LS(0, [1.0 / pt.ubarm1]))
-
-
-def frame_v() -> Tangent:
-    return unit_tangent()
 
 
 def frame_u(pt: Point) -> Tangent:
@@ -252,6 +241,11 @@ def ell_variation(x: Tangent) -> LS:
 def diff_u(pt: Point) -> Cotangent:
     """Differential of u = log ubar_{-1}: the one-form (0, e^{-u})."""
     return Cotangent(LS.zero(), LS(0, [1.0 / pt.ubarm1]))
+
+
+# e* = du is the identity of the cotangent product; d/dv is the unit e
+unit_cotangent = diff_u
+frame_v = unit_tangent
 
 
 def diff_v() -> Cotangent:
@@ -536,27 +530,22 @@ def sample_point(seed, n: int = 24, scale: float = 0.05, rho: float = 0.7) -> Po
     return Point(LS(-n, lam), LS(-1, lbar))
 
 
-def sample_tangent(seed, n: int = 12, scale: float = 0.5, rho: float = 0.75) -> Tangent:
+def _decaying(seed, scale: float, rho: float, *bands) -> list:
+    """Random series on the given (lo, hi) bands, coefficients ~ rho^|d|."""
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-
-    def decaying(lo, hi):
+    out = []
+    for lo, hi in bands:
         degs = np.arange(lo, hi + 1)
         c = scale * rho ** np.abs(degs) * (
             rng.standard_normal(len(degs)) + 1j * rng.standard_normal(len(degs))
         )
-        return LS(lo, c)
+        out.append(LS(lo, c))
+    return out
 
-    return Tangent(decaying(-n, 0), decaying(-1, n))
+
+def sample_tangent(seed, n: int = 12, scale: float = 0.5, rho: float = 0.75) -> Tangent:
+    return Tangent(*_decaying(seed, scale, rho, (-n, 0), (-1, n)))
 
 
 def sample_cotangent(seed, n: int = 12, scale: float = 0.5, rho: float = 0.75) -> Cotangent:
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-
-    def decaying(lo, hi):
-        degs = np.arange(lo, hi + 1)
-        c = scale * rho ** np.abs(degs) * (
-            rng.standard_normal(len(degs)) + 1j * rng.standard_normal(len(degs))
-        )
-        return LS(lo, c)
-
-    return Cotangent(decaying(-1, n), decaying(-n, 0))
+    return Cotangent(*_decaying(seed, scale, rho, (-1, n), (-n, 0)))

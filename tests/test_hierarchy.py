@@ -8,11 +8,13 @@ the metric and the intersection form raising maps.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import todafrob.canonical as ca
+import todafrob.flatcoords as fc
 import todafrob.hierarchy as hi
 import todafrob.laurent as la
 import todafrob.manifold as mf
@@ -117,7 +119,7 @@ def test_hamiltonian_values():
     # independent nodewise route for H1
     acc = 0.0
     for k in range(K):
-        lam_k = hi.node_series(L3.lam, k)
+        lam_k = la.LaurentSeries(L3.lam.lo, L3.lam.coeffs[:, k])
         acc += (lam_k * lam_k).coeff(0)
     assert abs(hi.hamiltonian(L3, 1) + acc / (2.0 * K)) < 1e-10
     # the unbarred Casimir density equals the zero mode of lam by the
@@ -333,6 +335,107 @@ def test_blowup_and_tail_overflow():
     # the alpha = -2 primary flow leaks past the retained band on this seed
     with pytest.raises(hi.TailOverflow):
         hi.primary_rhs(L3, ("t", -2))
+
+
+# -- all nodes at once ---------------------------------------------------
+# The loop layer calls the circle kernel once on the stacked nodes; these
+# per-node references are what it replaced.
+
+
+def at_node(f: hi.LoopField, k: int) -> la.LaurentSeries:
+    return la.LaurentSeries(f.lo, f.coeffs[:, k])
+
+
+def node_points(L: hi.LoopPoint) -> list:
+    return [mf.Point(at_node(L.lam, k), at_node(L.lbar, k)) for k in range(L.nodes)]
+
+
+def nodewise_field(series: list) -> hi.LoopField:
+    lo = min(f.lo for f in series)
+    top = max(f.hi for f in series)
+    return hi.LoopField(lo, np.array([f.window(lo, top) for f in series]).T)
+
+
+def relative_gap(f: hi.LoopField, ref: hi.LoopField) -> float:
+    return hi.field_dist(f, ref) / ref.max_abs()
+
+
+def transport_reference(L, flow, m_p=64, velocity=None) -> tuple[float, float]:
+    """The residual, node by node, and the size of the terms it cancels."""
+    p = la.unit_roots(m_p)
+    t, _ = hi.tangent_part(L, *hi.flow_rhs(L, flow))
+    tv, _ = hi.tangent_part(L, *hi.flow_rhs(L, "v"))
+    worst = scale = 0.0
+    for k, pt in enumerate(node_points(L)):
+        dt_u = ca.du_pair(pt, p, mf.Tangent(at_node(t.a, k), at_node(t.ab, k)))
+        dx_u = ca.du_pair(pt, p, mf.Tangent(at_node(tv.a, k), at_node(tv.ab, k)))
+        vel = velocity(pt, m_p) if velocity else ca.char_velocities(pt, flow, m_p)
+        worst = max(worst, float(np.max(np.abs(dt_u - vel * dx_u))))
+        scale = max(scale, float(np.max(np.abs(dt_u))))
+    return worst, scale
+
+
+def test_stacked_circle_ops_match_the_per_node_reference():
+    pts = node_points(L3)
+    for n in (-1, -2):
+        ref = nodewise_field([pt.w_pow(n) for pt in pts])
+        assert relative_gap(hi.w_power_field(L3, n), ref) <= 1e-13
+    ref = nodewise_field(
+        [la.log_on_circle(pt.w.shift(-1), -pt.inv_halfband, pt.inv_halfband) for pt in pts]
+    )
+    assert relative_gap(hi.log_w_field(L3), ref) <= 1e-13
+    # H_-1 averages t_-1 + v, which nearly cancel: compare on their scale
+    t = np.array([fc.flat_coordinates(pt, -1, -1)[-1] for pt in pts])
+    H = complex(-np.mean(t + L3.lbar.row(0)))
+    assert abs(hi.hamiltonian(L3, -1) - H) <= 1e-13 * np.max(np.abs(t))
+
+
+def test_stacked_transport_matches_the_per_node_reference():
+    # the residual is a small difference of O(scale) terms: compare on their scale
+    for flow in [("t", 0), "u", ("s", 2)]:
+        ref, scale = transport_reference(L3, flow)
+        assert abs(hi.transport_residual(L3, flow) - ref) <= 1e-13 * scale, flow
+
+    # the velocity override behind the transport suite's note
+    def printed(pt, m):
+        return ca.char_velocities(pt, ("s", 2), m) / 2.0
+
+    ref, _ = transport_reference(L3, ("s", 2), velocity=printed)
+    got = hi.transport_residual(L3, ("s", 2), velocity=printed)
+    assert abs(got - ref) <= 1e-13 * ref
+    assert f"{got:.3e}" == f"{ref:.3e}"
+
+
+KERNEL = ("grid_eval", "grid_to_series", "divide_on_circle", "log_on_circle", "unwrap_on_circle")
+
+
+def kernel_calls(monkeypatch, nodes: int) -> Counter:
+    """Circle-kernel invocations in one t:-2 RK4 step on an x-constant loop."""
+    counts = Counter()
+    for name in KERNEL:
+        def counted(*args, _fn=getattr(la, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(la, name, counted)
+    hi.rk4_step(hi.sample_loop(7, nodes=nodes, mmax=0), ("t", -2), 1e-3)
+    monkeypatch.undo()
+    return counts
+
+
+def test_kernel_calls_do_not_grow_with_the_node_count(monkeypatch):
+    # w_power_field divides on a 1024-point grid; only its fixed-size row
+    # blocks may add calls as K grows, never one call per node
+    def blocks(nodes):
+        return -(-nodes // max(1, la.ROW_BLOCK_BYTES // (16 * 1024)))
+
+    c8, c32 = kernel_calls(monkeypatch, 8), kernel_calls(monkeypatch, 32)
+    assert c8["divide_on_circle"] == 4  # one per RK4 stage
+    assert c8["grid_eval"] > 0
+    for name in KERNEL:
+        per_block = name not in ("divide_on_circle", "log_on_circle")
+        want = c8[name] * blocks(32) // blocks(8) if per_block else c8[name]
+        assert c32[name] == want, (name, c8, c32)
 
 
 def test_serialization_roundtrip():

@@ -221,6 +221,117 @@ def test_unwrap_winding_values():
     assert la.circle_winding(zs**-2) == -2
 
 
+def test_unit_roots_are_read_only():
+    roots = la.unit_roots(16)
+    with pytest.raises(ValueError):
+        roots[0] = 2.0
+    assert roots[0] == 1.0
+
+
+# -- stacked rows ------------------------------------------------------
+
+
+def stack_of(*series):
+    """The given series as one stack on their common band."""
+    lo = min(f.lo for f in series)
+    hi = max(f.hi for f in series)
+    return LS(lo, np.array([f.window(lo, hi) for f in series]))
+
+
+def row(stack, k):
+    return LS(stack.lo, stack.c[k])
+
+
+def near_one_rows(rng, count, width=3, scale=0.02):
+    """Winding-zero, nonvanishing rows of very different sizes."""
+    return [
+        (random_series(rng, -width, width, scale) + LS.one()).scale(10.0 ** (k % 5 - 2))
+        for k in range(count)
+    ]
+
+
+def test_stacked_rows_match_the_pointwise_kernel():
+    rng = np.random.default_rng(41)
+    fs = near_one_rows(rng, 7)
+    gs = near_one_rows(rng, 7)
+    F, G = stack_of(*fs), stack_of(*gs)
+    m = 64
+    vals = la.grid_eval(F, m)
+    assert vals.shape == (7, m)
+    back = la.grid_to_series(vals, -3, 3)
+    phases, winding = la.unwrap_on_circle(vals)
+    assert list(winding) == [0] * 7
+    # a grid small enough that 1024 / 16 rows fit a block exercises the
+    # block seams of the certified operations
+    Q = la.divide_on_circle(F, G, -40, 40, grid_size=4096)
+    Lg = la.log_on_circle(F, -40, 40, grid_size=4096)
+    for k, (f, g) in enumerate(zip(fs, gs)):
+        v = la.grid_eval(f, m)
+        assert np.max(np.abs(vals[k] - v)) <= 1e-14 * np.max(np.abs(v))
+        assert la.series_dist(row(back, k), f) <= 1e-14 * f.max_abs()
+        assert np.max(np.abs(phases[k] - la.unwrap_on_circle(vals[k])[0])) <= 1e-14
+        q = la.divide_on_circle(f, g, -40, 40, grid_size=4096)
+        assert la.series_dist(row(Q, k), q) <= 1e-14 * q.max_abs()
+        lg = la.log_on_circle(f, -40, 40, grid_size=4096)
+        assert la.series_dist(row(Lg, k), lg) <= 1e-14 * lg.max_abs()
+    # a one-row numerator is shared by every row of the divisor
+    R = la.divide_on_circle(LS.one(), G, -40, 40)
+    for k, g in enumerate(gs):
+        r = la.reciprocal_on_circle(g, -40, 40)
+        assert la.series_dist(row(R, k), r) <= 1e-14 * r.max_abs()
+
+
+def test_a_heavy_tail_row_is_refused_by_name():
+    good = LS(0, [1.0, -0.1])
+    heavy = LS(0, [1.0, -1.0 / 1.02])  # 1/heavy decays like 1.02**-n
+    rows = [good] * 10
+    rows[7] = heavy
+    # 4 rows per block at m = 4096: row 7 sits in the second block
+    with pytest.raises(la.TruncationLoss, match=r"\(row 7\)"):
+        la.divide_on_circle(LS.one(), stack_of(*rows), 0, 48, grid_size=4096)
+
+
+def test_each_row_is_held_to_its_own_maximum():
+    # row 0 is tiny: its dropped tail, 0.75**49 ~ 7e-7 of its own size,
+    # sits far below 1e-12 of the large neighbour's maximum
+    num = stack_of(LS(0, [1e-8]), LS(0, [1.0]))
+    den = stack_of(LS(0, [1.0, -0.75]), LS(0, [1.0, -0.1]))
+    with pytest.raises(la.TruncationLoss, match=r"\(row 0\)"):
+        la.divide_on_circle(num, den, 0, 48)
+    with pytest.raises(la.TruncationLoss):
+        la.divide_on_circle(row(num, 0), row(den, 0), 0, 48)
+    q = la.divide_on_circle(row(num, 1), row(den, 1), 0, 48)
+    assert q.max_abs() == 1.0
+
+
+def test_a_vanishing_or_winding_row_is_refused_by_name():
+    den = stack_of(LS(0, [1.0, -0.5]), LS(0, [1.0, -1.0]), LS(0, [2.0, 1.0]))
+    with pytest.raises(la.ZeroOnCircle, match=r"\(row 1\)"):
+        la.divide_on_circle(LS.one(), den, -20, 20)
+    f = stack_of(LS(0, [2.0, 1.0]), LS(0, [2.0, 0.5]), LS(0, [0.5, 1.0]))
+    with pytest.raises(la.WindingNonzero, match=r"\(row 2\)"):
+        la.log_on_circle(f, -20, 20)
+    # the pointwise refusals keep their messages
+    with pytest.raises(la.ZeroOnCircle, match=r"vanishes on the unit circle$"):
+        la.reciprocal_on_circle(row(den, 1), -20, 20)
+
+
+def test_stacked_ring_operations_act_row_by_row():
+    rng = np.random.default_rng(43)
+    fs = [random_series(rng, -4, 2) for _ in range(3)]
+    gs = [random_series(rng, -1, 5) for _ in range(3)]
+    F, G = stack_of(*fs), stack_of(*gs)
+    zs = np.exp(0.3j + np.linspace(0.0, 1.0, 5))
+    for k, (f, g) in enumerate(zip(fs, gs)):
+        assert la.series_dist(row(F * G, k), f * g) < 1e-13
+        assert la.series_dist(row(F + G, k), f + g) == 0.0
+        assert la.series_dist(row(F * gs[0], k), f * gs[0]) < 1e-13
+        assert la.series_dist(row(F.derivative().project("geq", -2), k),
+                              f.derivative().project("geq", -2)) == 0.0
+        assert np.max(np.abs(F.evaluate(zs)[k] - f.evaluate(zs))) < 1e-13
+        assert F.coeff(-1)[k] == f.coeff(-1)
+
+
 # -- serialization -----------------------------------------------------
 
 
