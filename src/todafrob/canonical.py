@@ -44,19 +44,12 @@ def canonical_data(pt: Point, m: int | None = None) -> CanonicalData:
     f = -(p**2) * lp * bp / wp
     residual = float(np.max(np.abs(sigma * bp + (sigma - 1.0) * lp)))
 
-    # the curve is traced simply iff non-adjacent samples stay apart
-    diam = float(np.max(np.abs(sigma[:, None] - sigma[None, :])))
-    idx = np.arange(m)
-    sep = np.minimum((idx[:, None] - idx[None, :]) % m, (idx[None, :] - idx[:, None]) % m)
-    gaps = np.abs(sigma[:, None] - sigma[None, :])[sep >= 3]
-    gap_ratio = float(np.min(gaps) / diam) if diam > 0 else 0.0
-
     return CanonicalData(
         p=p,
         sigma=sigma,
         u_sigma=u_sigma,
         f=f,
-        self_intersecting=gap_ratio <= 1e-6,
+        self_intersecting=la.curve_gap_ratio(sigma) <= 1e-6,
         critical_residual=residual,
     )
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj)
+        return fmt_float(obj) if math.isfinite(obj) else "null"  # JSON has no NaN
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, complex):
@@ -81,6 +82,12 @@ def atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _out_path(cfg: RunConfig, name: str) -> str:
+    """Path of an output file in the output directory, which is created."""
+    os.makedirs(cfg.outdir, exist_ok=True)
+    return os.path.join(cfg.outdir, name)
+
+
 def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)]
     lines += [",".join(r) for r in rows]
@@ -102,7 +109,62 @@ class RunConfig:
     parallel: bool = False
 
 
-_CONFIG_KEYS = {"seed", "N", "n_max", "K", "tolerances", "suites", "outdir", "parallel"}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+
+# Numeric settings, from the config file or a flag: kind, smallest value
+# allowed (None: any finite value) and whether that value is excluded.
+_NUMBERS = {
+    "seed": (int, 0, False), "N": (int, 1, False), "n_max": (int, 0, False),
+    "K": (int, 1, False), "kmax": (int, 0, False), "record_every": (int, 1, False),
+    "grid": (int, 6, False), "T": (float, 0.0, True), "h": (float, 0.0, True),
+    "u": (float, None, False), "v": (float, None, False),
+}
+
+
+def _number(key: str, val, kind=float, lo=None, strict=False):
+    """val as a finite number of the given kind, at least lo (above lo if strict)."""
+    try:
+        x = kind(val)
+        ok = not isinstance(val, bool) and (x == val if kind is int else math.isfinite(x))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if ok and lo is not None:
+        ok = x > lo if strict else x >= lo
+    if not ok:
+        noun = "integer" if kind is int else "finite number"
+        if lo is None:
+            want = f"a {noun}"
+        elif lo == 0:
+            want = f"a {'positive' if strict else 'nonnegative'} {noun}"
+        else:
+            want = f"an {noun} >= {lo}"
+        raise ConfigError(f"{key} must be {want}, got {val!r}")
+    return x
+
+
+# The other settings: type and wording.
+_KINDS = {"tolerances": (dict, "an object"), "suites": (list, "a list"),
+          "outdir": (str, "a string"), "parallel": (bool, "true or false")}
+
+
+def _setting(key: str, val):
+    """One setting from the config file or the command line, checked."""
+    if key in _NUMBERS:
+        return _number(key, val, *_NUMBERS[key])
+    kind, want = _KINDS[key]
+    if not isinstance(val, kind):
+        raise ConfigError(f"{key} must be {want}")
+    if key == "tolerances":
+        for name in val:
+            if name not in vf.SUITES:
+                raise ConfigError(f"unknown suite in tolerances: {name!r}")
+        return {name: _number(f"tolerance for {name}", v, float, 0.0)
+                for name, v in val.items()}
+    if key == "suites":
+        for name in val:
+            if not isinstance(name, str) or name not in vf.SUITES:
+                raise ConfigError(f"unknown suite {name!r}")
+    return val
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -120,39 +182,14 @@ def load_config(path: str | None) -> RunConfig:
         ) from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    for key in raw:
+    for key, val in raw.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-    for key in ("seed", "N", "n_max", "K"):
-        if key in raw:
-            if not isinstance(raw[key], int) or isinstance(raw[key], bool):
-                raise ConfigError(f"config {path}: {key} must be an integer")
-            setattr(cfg, key, raw[key])
-    if "tolerances" in raw:
-        if not isinstance(raw["tolerances"], dict):
-            raise ConfigError(f"config {path}: tolerances must be an object")
-        cfg.tolerances = dict(raw["tolerances"])
-    if "suites" in raw:
-        if not isinstance(raw["suites"], list):
-            raise ConfigError(f"config {path}: suites must be a list")
-        cfg.suites = list(raw["suites"])
-    if "outdir" in raw:
-        cfg.outdir = str(raw["outdir"])
-    if "parallel" in raw:
-        cfg.parallel = bool(raw["parallel"])
+        try:
+            setattr(cfg, key, _setting(key, val))
+        except ConfigError as e:
+            raise ConfigError(f"config {path}: {e}") from None
     return cfg
-
-
-def check_tolerances(tols: dict) -> dict:
-    out = {}
-    for name, val in tols.items():
-        if name not in vf.DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown suite in tolerances: {name!r}")
-        v = float(val)
-        if v < 0 or v != v:
-            raise ConfigError(f"tolerance for {name} must be nonnegative, got {val}")
-        out[name] = v
-    return out
 
 
 def parse_flow_tag(text: str):
@@ -173,28 +210,9 @@ def parse_flow_tag(text: str):
 # -- verify ----------------------------------------------------------------
 
 
-def _suite_sizes(cfg: RunConfig, name: str) -> dict:
-    manifold_sized = {
-        "gram", "frobenius", "potential", "quasihomogeneity",
-        "intersection", "semisimplicity", "canonical",
-    }
-    loop_sized = {"poisson", "hierarchy", "commutators", "transport", "rk4"}
-    if name == "gram":
-        return {"n": cfg.N, "kmax": cfg.n_max}
-    if name in manifold_sized:
-        return {"n": cfg.N}
-    if name in loop_sized:
-        return {"nodes": cfg.K}
-    return {}
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     names = cfg.suites or list(vf.SUITE_ORDER)
-    for name in names:
-        if name not in vf.DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown suite {name!r}")
-    tols = check_tolerances(cfg.tolerances)
-    randomized = [n for n in names if n != "tables"]
+    randomized = [n for n in names if vf.SUITES[n].randomized]
     if cfg.seed is None and randomized:
         raise ConfigError(
             f"seed is required for randomized suites: {', '.join(randomized)}"
@@ -202,7 +220,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     seed = cfg.seed if cfg.seed is not None else 0
 
     def run(name: str) -> vf.SuiteResult:
-        return vf.run_suite(name, seed, tols.get(name), **_suite_sizes(cfg, name))
+        sizes = {kw: getattr(cfg, f) for kw, f in vf.SUITES[name].sizes.items()}
+        return vf.run_suite(name, seed, cfg.tolerances.get(name), **sizes)
 
     if cfg.parallel:
         with ThreadPoolExecutor(max_workers=min(4, len(names))) as ex:
@@ -220,8 +239,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "suites": [r.to_json_dict() for r in results],
         "pass": ok,
     }
-    os.makedirs(cfg.outdir, exist_ok=True)
-    atomic_write(os.path.join(cfg.outdir, "report.json"), json_text(report) + "\n")
+    atomic_write(_out_path(cfg, "report.json"), json_text(report) + "\n")
     return 0 if ok else 1
 
 
@@ -241,10 +259,9 @@ def cmd_gram(cfg: RunConfig, kmax: int) -> int:
         for y in frames:
             cells.append(fmt_complex(mf.metric_tangent(pt, x, y)))
         rows.append(cells)
-    os.makedirs(cfg.outdir, exist_ok=True)
-    write_csv(os.path.join(cfg.outdir, "gram.csv"), ["frame"] + names, rows)
-    print(f"gram: {len(names)}x{len(names)} matrix written to "
-          f"{os.path.join(cfg.outdir, 'gram.csv')}")
+    path = _out_path(cfg, "gram.csv")
+    write_csv(path, ["frame"] + names, rows)
+    print(f"gram: {len(names)}x{len(names)} matrix written to {path}")
     return 0
 
 
@@ -265,8 +282,7 @@ def cmd_potential(cfg: RunConfig, u: float, v: float) -> int:
         "dF_dv": complex(po.dF_dv(pt)),
         "quasihomogeneity_residual": float(abs(po.quasihomogeneity_residual(pt))),
     }
-    os.makedirs(cfg.outdir, exist_ok=True)
-    atomic_write(os.path.join(cfg.outdir, "potential.json"), json_text(report) + "\n")
+    atomic_write(_out_path(cfg, "potential.json"), json_text(report) + "\n")
     print(f"potential: F = {fmt_complex(F)} (locus closed form {fmt_float(closed)})")
     return 0
 
@@ -285,7 +301,6 @@ def cmd_flow(cfg: RunConfig, flow_text: str, T: float, h: float,
     except (hi.BlowUp, hi.TailOverflow) as e:
         print(f"flow {flow_text} aborted: {e}", file=sys.stderr)
         return 1
-    os.makedirs(cfg.outdir, exist_ok=True)
     header = ["step", "time", "H1", "Hbar1", "H2", "tail_norm", "u1_drift"]
     rows = []
     for row in ledger:
@@ -298,11 +313,11 @@ def cmd_flow(cfg: RunConfig, flow_text: str, T: float, h: float,
             fmt_float(row["tail_norm"]),
             fmt_float(row["u1_drift"]),
         ])
-    write_csv(os.path.join(cfg.outdir, "flow_ledger.csv"), header, rows)
+    write_csv(_out_path(cfg, "flow_ledger.csv"), header, rows)
     snap_doc = [
         {"time": t, "loop": hi.loop_to_json_dict(P)} for t, P in snapshots
     ]
-    atomic_write(os.path.join(cfg.outdir, "flow_snapshots.json"),
+    atomic_write(_out_path(cfg, "flow_snapshots.json"),
                  json_text(snap_doc) + "\n")
     drift = max(abs(row["H1"] - ledger[0]["H1"]) for row in ledger)
     print(f"flow {flow_text}: {len(ledger) - 1} steps to T={fmt_float(T)}, "
@@ -332,8 +347,7 @@ def cmd_canonical(cfg: RunConfig, grid: int) -> int:
                         cd.f[j].real, cd.f[j].imag,
                         vel[j].real, vel[j].imag)
         ])
-    os.makedirs(cfg.outdir, exist_ok=True)
-    write_csv(os.path.join(cfg.outdir, "canonical.csv"), header, rows)
+    write_csv(_out_path(cfg, "canonical.csv"), header, rows)
     print(f"canonical: {len(rows)} circle nodes written "
           f"(trace residual {cd.critical_residual:.3e}, "
           f"self-intersecting: {cd.self_intersecting})")
@@ -394,23 +408,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
+    """The config file overlaid by the flags.  Every value from either
+    source is checked by _setting, and the flow step must fit in T."""
     cfg = load_config(args.config)
-    for key in ("seed", "N", "n_max", "K", "outdir"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "parallel", False):
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    for key in [*_NUMBERS, "outdir"]:
+        if key in flags:
+            val = _setting(key, flags[key])
+            if key in _CONFIG_KEYS:
+                setattr(cfg, key, val)
+    if flags.get("h", 0.0) > flags.get("T", math.inf):
+        raise ConfigError(f"h must not exceed T, got h={flags['h']!r}, T={flags['T']!r}")
+    if flags.get("parallel"):
         cfg.parallel = True
-    if getattr(args, "suites", None):
-        cfg.suites = [s.strip() for s in args.suites.split(",") if s.strip()]
-    for item in getattr(args, "tol", []):
+    if flags.get("suites"):
+        cfg.suites = _setting("suites", [s.strip() for s in args.suites.split(",")
+                                         if s.strip()])
+    tols = {}
+    for item in flags.get("tol", []):
         if "=" not in item:
             raise ConfigError(f"--tol expects SUITE=VALUE, got {item!r}")
         name, _, val = item.partition("=")
-        try:
-            cfg.tolerances[name.strip()] = float(val)
-        except ValueError as e:
-            raise ConfigError(f"bad tolerance value in {item!r}") from e
+        tols[name.strip()] = val
+    cfg.tolerances = {**cfg.tolerances, **_setting("tolerances", tols)}
     return cfg
 
 

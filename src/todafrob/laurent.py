@@ -403,6 +403,21 @@ def circle_winding(values: np.ndarray):
     return unwrap_on_circle(values)[1]
 
 
+def curve_gap_ratio(values: np.ndarray) -> float:
+    """Smallest distance between samples of a closed curve at least three
+    nodes apart, relative to the curve's diameter (0.0 for a point).
+
+    A heuristic for simplicity: it sees coinciding samples, not crossings.
+    """
+    m = len(values)
+    idx = np.arange(m)
+    apart = np.minimum((idx[:, None] - idx[None, :]) % m,
+                       (idx[None, :] - idx[:, None]) % m) >= 3
+    dist = np.abs(values[:, None] - values[None, :])
+    diam = float(np.max(dist))
+    return float(np.min(dist[apart]) / diam) if diam > 0 else 0.0
+
+
 def log_values_on_circle(values: np.ndarray, row0: int = 0) -> np.ndarray:
     """Pointwise log with a globally consistent winding-zero branch.
 

@@ -443,13 +443,7 @@ def check_membership(pt: Point, grid_size: int | None = None) -> MembershipRepor
         winding = None
         notes.append(f"winding unresolved: {exc}")
 
-    # simplicity of the image curve: non-adjacent samples stay separated
-    diam = float(np.max(np.abs(w_vals[:, None] - w_vals[None, :])))
-    idx = np.arange(m)
-    sep = np.minimum((idx[:, None] - idx[None, :]) % m, (idx[None, :] - idx[:, None]) % m)
-    mask = sep >= 3
-    gaps = np.abs(w_vals[:, None] - w_vals[None, :])[mask]
-    gap_ratio = float(np.min(gaps) / diam) if diam > 0 else 0.0
+    gap_ratio = la.curve_gap_ratio(w_vals)
 
     lam_prime_min = float(np.min(np.abs(lp_vals)))
     lbar_prime_min = float(np.min(np.abs(bp_vals)))

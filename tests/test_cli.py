@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 import todafrob.cli as cli
 
@@ -172,3 +173,32 @@ def test_canonical_csv(tmp_path):
     # the p column walks the unit circle
     r = np.hypot(vals[:, 1], vals[:, 2])
     assert np.max(np.abs(r - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "CONFIG"],
+    ["verify", "--seed", "1", "--tol", "gram=abc"],
+    ["verify", "--seed", "1", "--K", "0"],
+    ["verify", "--seed", "1", "--N", "0"],
+    ["gram", "--seed", "-1"],
+    ["potential", "--u", "nan"],
+    ["flow", "--seed", "1", "--h", "0"],
+    ["flow", "--seed", "1", "--h", "-0.001"],
+    ["flow", "--seed", "1", "--h", "0.2", "--T", "0.1"],
+    ["flow", "--seed", "1", "--T", "-1"],
+    ["flow", "--seed", "1", "--record-every", "0"],
+    ["canonical", "--seed", "1", "--grid", "5"],
+])
+def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv):
+    cfgfile = tmp_path / "config.json"
+    cfgfile.write_text(json.dumps({"seed": 1, "tolerances": {"gram": "abc"}}))
+    argv = [str(cfgfile) if a == "CONFIG" else a for a in argv]
+    assert run(*argv, "--outdir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_smallest_canonical_grid_runs(tmp_path):
+    assert run("canonical", "--seed", "1", "--grid", "6", "--outdir", str(tmp_path)) == 0
+    assert len((tmp_path / "canonical.csv").read_text().strip().split("\n")) == 7

@@ -18,6 +18,7 @@ import todafrob.flatcoords as fc
 import todafrob.hierarchy as hi
 import todafrob.laurent as la
 import todafrob.manifold as mf
+import todafrob.verify as vf
 
 L3 = hi.sample_loop(3)
 K = L3.nodes
@@ -32,19 +33,11 @@ def loop_dist(A: hi.LoopPoint, B: hi.LoopPoint) -> float:
 
 
 def mode_cotangent(o: mf.Cotangent, kappa: int) -> hi.LoopCotangent:
-    ph = np.exp(1j * kappa * X)
-    return hi.LoopCotangent(
-        hi.const_field(o.w1, K).nodal_mul(ph),
-        hi.const_field(o.w2, K).nodal_mul(ph),
-    )
+    return hi.LoopCotangent(*vf.single_mode(K, kappa, o.w1, o.w2))
 
 
 def mode_tangent(t: mf.Tangent, kappa: int):
-    ph = np.exp(1j * kappa * X)
-    return (
-        hi.const_field(t.a, K).nodal_mul(ph),
-        hi.const_field(t.ab, K).nodal_mul(ph),
-    )
+    return vf.single_mode(K, kappa, t.a, t.ab)
 
 
 def test_sample_loop_invariants():
