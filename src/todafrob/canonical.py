@@ -19,6 +19,13 @@ from .manifold import Point, Tangent, tan_mul
 
 @dataclass(frozen=True)
 class CanonicalData:
+    """Circle-grid values of sigma, u_sigma and f.
+
+    self_intersecting flags samples of sigma that coincide (a double cover
+    such as 1 + 1/p^2): la.curve_gap_ratio at most 1e-6.  It is not a
+    crossing test; sigma curves of generic points cross themselves.
+    """
+
     p: np.ndarray
     sigma: np.ndarray
     u_sigma: np.ndarray

@@ -22,6 +22,7 @@ import numpy as np
 from . import canonical as ca
 from . import flatcoords as fc
 from . import hierarchy as hi
+from . import laurent as la
 from . import manifold as mf
 from . import potential as po
 from . import verify as vf
@@ -269,8 +270,13 @@ def cmd_gram(cfg: RunConfig, kmax: int) -> int:
 
 
 def cmd_potential(cfg: RunConfig, u: float, v: float) -> int:
-    pt = mf.locus_point(u, v)
-    F = po.potential_F(pt)
+    try:
+        pt = mf.locus_point(u, v)  # ValueError: e^u too small for a point
+        F = po.potential_F(pt)
+        quasi = po.quasihomogeneity_residual(pt)  # F at shifted points as well
+    except (ValueError, la.TruncationLoss) as e:
+        print(f"potential refused at u={u}, v={v}: {e}", file=sys.stderr)
+        return 2
     closed = u * v * v / 2.0
     report = {
         "u": u,
@@ -280,7 +286,7 @@ def cmd_potential(cfg: RunConfig, u: float, v: float) -> int:
         "deviation": abs(F - closed),
         "dF_du": complex(po.dF_du(pt)),
         "dF_dv": complex(po.dF_dv(pt)),
-        "quasihomogeneity_residual": float(abs(po.quasihomogeneity_residual(pt))),
+        "quasihomogeneity_residual": float(abs(quasi)),
     }
     atomic_write(_out_path(cfg, "potential.json"), json_text(report) + "\n")
     print(f"potential: F = {fmt_complex(F)} (locus closed form {fmt_float(closed)})")

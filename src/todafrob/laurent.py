@@ -403,19 +403,102 @@ def circle_winding(values: np.ndarray):
     return unwrap_on_circle(values)[1]
 
 
+def near_pairs(points: np.ndarray, radius: float):
+    """Index arrays (i, j), i < j, holding every pair of points at most
+    `radius` apart, among other pairs in neighbouring cells.
+
+    The points are bucketed in square cells of side `radius` and the cell
+    keys sorted once.  Each point is paired with the later points of its
+    own cell and with the points of four of its eight neighbouring cells
+    (the other four pair with it from their side), found by binary search.  The cost is
+    O(m log m) plus the number of pairs returned; no m x m array is built.
+    """
+    pts = np.asarray(points, dtype=complex)
+    x, y = pts.real - pts.real.min(), pts.imag - pts.imag.min()
+    # cells no smaller than 2**-30 of the extent keep the keys inside int64
+    side = max(radius, 2.0**-30 * max(x.max(), y.max())) or 1.0
+    cx = (x // side).astype(np.int64) + 1
+    cy = (y // side).astype(np.int64) + 1
+    stride = int(cy.max()) + 2
+    key = cx * stride + cy
+    order = np.argsort(key, kind="stable")
+    sorted_keys = key[order]
+    n = len(key)
+    cells = (np.array([0, 1, stride - 1, stride, stride + 1])[:, None] + sorted_keys).ravel()
+    first = np.searchsorted(sorted_keys, cells, "left")
+    first[:n] = np.arange(1, n + 1)  # own cell: the points sorted after this one
+    count = np.maximum(np.searchsorted(sorted_keys, cells, "right") - first, 0)
+    a = np.repeat(np.tile(np.arange(n), 5), count)
+    # output position p of run r reads sorted index first[r] + p - (start of run r)
+    b = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(a))
+    i, j = order[a], order[b]
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def curve_extent(values: np.ndarray) -> float:
+    """Diagonal of the bounding box of the samples: between 1 and sqrt(2)
+    times their diameter, in O(m)."""
+    return float(np.hypot(np.ptp(values.real), np.ptp(values.imag)))
+
+
+def _segment_distance(p0, p1, q0, q1) -> np.ndarray:
+    """Distances between the segments [p0, p1] and [q0, q1], elementwise;
+    0.0 where they cross."""
+
+    def cross(a, b):
+        return a.real * b.imag - a.imag * b.real
+
+    def to_segment(pt, a, d):
+        dd = np.abs(d) ** 2
+        t = np.divide(((pt - a) * d.conj()).real, dd, out=np.zeros_like(dd), where=dd > 0)
+        return np.abs(pt - a - np.clip(t, 0.0, 1.0) * d)
+
+    dp, dq = p1 - p0, q1 - q0
+    crossing = ((cross(dq, p0 - q0) * cross(dq, p1 - q0) < 0)
+                & (cross(dp, q0 - p0) * cross(dp, q1 - p0) < 0))
+    dist = np.minimum(np.minimum(to_segment(p0, q0, dq), to_segment(p1, q0, dq)),
+                      np.minimum(to_segment(q0, p0, dp), to_segment(q1, p0, dp)))
+    return np.where(crossing, 0.0, dist)
+
+
+def segment_gap(values: np.ndarray) -> float:
+    """Smallest distance between non-adjacent edges of the closed polygon
+    through the samples, 0.0 where two of them cross (inf for fewer than
+    four edges).
+
+    Exact: edges k and k+2 are no farther apart than edge k+1 is long, so
+    the minimum is at most the longest edge L, and two edges that close
+    have midpoints within 2L; only the near_pairs of midpoints at that
+    radius are measured.
+    """
+    v = np.asarray(values, dtype=complex)
+    m = len(v)
+    nxt = np.roll(v, -1)
+    longest = float(np.abs(nxt - v).max())
+    if longest == 0.0:
+        return 0.0
+    i, j = near_pairs(0.5 * (v + nxt), 2.0 * longest)
+    keep = (j - i >= 2) & (j - i <= m - 2)
+    i, j = i[keep], j[keep]
+    return float(_segment_distance(v[i], nxt[i], v[j], nxt[j]).min(initial=np.inf))
+
+
 def curve_gap_ratio(values: np.ndarray) -> float:
     """Smallest distance between samples of a closed curve at least three
-    nodes apart, relative to the curve's diameter (0.0 for a point).
+    nodes apart, relative to curve_extent (0.0 for a point).
 
-    A heuristic for simplicity: it sees coinciding samples, not crossings.
+    It sees coinciding samples (a double cover), not crossings.  Exact:
+    samples three nodes apart lie within three of the longest steps, so
+    the minimum is among the near_pairs at that radius.
     """
-    m = len(values)
-    idx = np.arange(m)
-    apart = np.minimum((idx[:, None] - idx[None, :]) % m,
-                       (idx[None, :] - idx[:, None]) % m) >= 3
-    dist = np.abs(values[:, None] - values[None, :])
-    diam = float(np.max(dist))
-    return float(np.min(dist[apart]) / diam) if diam > 0 else 0.0
+    v = np.asarray(values, dtype=complex)
+    m = len(v)
+    extent = curve_extent(v)
+    if extent == 0.0:
+        return 0.0
+    i, j = near_pairs(v, 3.0 * float(np.abs(np.roll(v, -1) - v).max()))
+    keep = np.minimum(j - i, m - (j - i)) >= 3
+    return float(np.abs(v[i[keep]] - v[j[keep]]).min(initial=np.inf) / extent)
 
 
 def log_values_on_circle(values: np.ndarray, row0: int = 0) -> np.ndarray:

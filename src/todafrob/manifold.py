@@ -395,6 +395,7 @@ class MembershipReport:
     ubarm1_abs: float
     gamma_winding: int | None
     gamma_min_gap_ratio: float
+    gamma_simple_margin: float
     lam_prime_min: float
     lbar_prime_min: float
     wronskian_min: float
@@ -419,8 +420,18 @@ def check_membership(pt: Point, grid_size: int | None = None) -> MembershipRepor
 
     Reports margins rather than bare booleans: minimum modulus of w',
     lam', lbar' and the Wronskians on the grid, the winding of w around
-    the origin, and the minimum gap between non-adjacent samples of the
-    image curve relative to its diameter.
+    the origin, and the smallest distance between non-adjacent edges of
+    the sampled polygon of w relative to its curve_extent.
+
+    Simplicity of w is certified from the coefficients.  With h = 2 pi/m
+    and bend = sum k^2 |w_k| >= |d^2 w/d theta^2|, each arc of the curve
+    lies within delta = bend h^2/8 of its chord, so non-adjacent arcs are
+    disjoint when the polygon's edge gap exceeds 2 delta
+    (gamma_simple_margin = gap/(2 delta) > 1).  Adjacent arcs are disjoint
+    when the tangent turns by less than pi/2 over two steps:
+    min|w'| - h bend/2 > 2 h bend.  Anything else reads as not simple,
+    with "polygon crosses itself" or "simplicity unresolved at m=..." in
+    the notes; a caller wanting a finer grid passes grid_size.
     """
     m = grid_size or pt.quad_m(8)
     zs = la.unit_roots(m)
@@ -443,7 +454,18 @@ def check_membership(pt: Point, grid_size: int | None = None) -> MembershipRepor
         winding = None
         notes.append(f"winding unresolved: {exc}")
 
-    gap_ratio = la.curve_gap_ratio(w_vals)
+    h = 2 * np.pi / m
+    degs = np.arange(pt.w.lo, pt.w.hi + 1)
+    bend = float(np.sum(degs**2 * np.abs(pt.w.c)))
+    delta = bend * h**2 / 8
+    gap = la.segment_gap(w_vals)
+    simple_margin = gap / (2 * delta)
+    turning_ok = w_prime_min - h * bend / 2 > 2 * h * bend
+    simple = simple_margin > 1 and turning_ok
+    if gap == 0.0:
+        notes.append("polygon crosses itself")
+    elif not simple:
+        notes.append(f"simplicity unresolved at m={m}")
 
     lam_prime_min = float(np.min(np.abs(lp_vals)))
     lbar_prime_min = float(np.min(np.abs(bp_vals)))
@@ -452,7 +474,6 @@ def check_membership(pt: Point, grid_size: int | None = None) -> MembershipRepor
 
     wp_scale = float(np.max(np.abs(wp_vals)))
     nondegenerate = w_prime_min > 1e-10 * max(wp_scale, 1.0) and ub > 1e-10
-    simple = gap_ratio > 1e-6
     in_open_stratum = nondegenerate and winding == 1 and simple
     intersection_ok = min(lam_prime_min, lbar_prime_min, wronskian_min) > 1e-10
     semisimple_ok = ss_min > 1e-10
@@ -461,7 +482,8 @@ def check_membership(pt: Point, grid_size: int | None = None) -> MembershipRepor
         w_prime_min=w_prime_min,
         ubarm1_abs=ub,
         gamma_winding=winding,
-        gamma_min_gap_ratio=gap_ratio,
+        gamma_min_gap_ratio=gap / la.curve_extent(w_vals),
+        gamma_simple_margin=simple_margin,
         lam_prime_min=lam_prime_min,
         lbar_prime_min=lbar_prime_min,
         wronskian_min=wronskian_min,

@@ -16,6 +16,10 @@ from .flatcoords import flat_coordinates, log_ratio_pairing, point_from_flat
 from .laurent import LaurentSeries as LS
 from .manifold import Point, Tangent, ell_variation, euler_field, point_shift
 
+# The tolerance of the potential suite: F is refused when rounding alone
+# could move it by more than this, relative to max(1, |F|).
+F_ROUNDING_TOL = 1e-8
+
 
 def first_sum(pt: Point) -> complex:
     """-(1/2) sum_{k>=1} w_k w_{-k} / k, exact over the band of w."""
@@ -27,17 +31,28 @@ def first_sum(pt: Point) -> complex:
 
 
 def potential_F(pt: Point, grid_size: int | None = None) -> complex:
-    """Value of the potential at the point."""
+    """Value of the potential at the point.
+
+    Refused (TruncationLoss) when the terms cancel so far that rounding,
+    bounded by 2^-52 sum |term|, exceeds F_ROUNDING_TOL * max(1, |F|).
+    """
     p = log_ratio_pairing(pt, grid_size)
     u0, v, u = pt.u0, pt.v, pt.u
-    return (
-        first_sum(pt)
-        + 0.5 * (v - u0) * (p - u0 - v)
-        + 0.5 * v**2 * u
-        + pt.ubarm1
-        + pt.um1
-        + pt.ubarm1 * pt.ubar1
+    terms = (
+        first_sum(pt),
+        0.5 * (v - u0) * (p - u0 - v),
+        0.5 * v**2 * u,
+        pt.ubarm1,
+        pt.um1,
+        pt.ubarm1 * pt.ubar1,
     )
+    F = sum(terms[1:], terms[0])
+    bound = 2.0**-52 * sum(abs(t) for t in terms)
+    if bound > F_ROUNDING_TOL * max(1.0, abs(F)):
+        raise la.TruncationLoss(
+            f"potential lost to cancellation: rounding bound {bound:.1e} above "
+            f"{F_ROUNDING_TOL:.0e} * max(1, |F|)")
+    return F
 
 
 def dF_dv(pt: Point, grid_size: int | None = None) -> complex:

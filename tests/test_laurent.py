@@ -221,6 +221,77 @@ def test_unwrap_winding_values():
     assert la.circle_winding(zs**-2) == -2
 
 
+# -- curve geometry ----------------------------------------------------
+# The O(m^2) references below look at every pair of samples or edges.
+
+
+def brute_sample_gap(v):
+    m = len(v)
+    sep = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+    dist = np.abs(v[:, None] - v[None, :])
+    return np.min(dist[np.minimum(sep, m - sep) >= 3])
+
+
+def brute_segment_gap(v):
+    m = len(v)
+    i, j = np.triu_indices(m, 2)
+    keep = j - i <= m - 2
+    a, b = v[i[keep]], np.roll(v, -1)[i[keep]]
+    c, d = v[j[keep]], np.roll(v, -1)[j[keep]]
+
+    def orient(o, s, t):
+        return np.imag(np.conj(s - o) * (t - o))
+
+    def to_segment(p, s, t):
+        f = np.clip(np.real((p - s) * np.conj(t - s)) / np.abs(t - s) ** 2, 0.0, 1.0)
+        return np.abs(p - s - f * (t - s))
+
+    crossing = (orient(a, b, c) * orient(a, b, d) < 0) & (orient(c, d, a) * orient(c, d, b) < 0)
+    dist = np.min([to_segment(a, c, d), to_segment(b, c, d),
+                   to_segment(c, a, b), to_segment(d, a, b)], axis=0)
+    return np.min(np.where(crossing, 0.0, dist))
+
+
+def seeded_curves(m):
+    rng = np.random.default_rng(m)
+    z = la.unit_roots(m)
+    yield z + 0.3 * z**-2  # simple
+    yield z + 0.7 * z**-2  # crosses itself three times
+    yield 1.0 + z**-2 + 0.01 * z**3  # a perturbed double cover
+    for _ in range(3):  # smooth curves with random bumps
+        c = 0.1 * (rng.standard_normal(9) + 1j * rng.standard_normal(9)) / np.arange(1, 10)
+        yield z + LS(-4, c).evaluate(z)
+    yield rng.standard_normal(m) + 1j * rng.standard_normal(m)  # a tangle
+
+
+def test_near_pairs_holds_every_pair_within_the_radius():
+    rng = np.random.default_rng(5)
+    for m, radius in [(400, 0.05), (1500, 0.01), (300, 0.4), (40, 10.0)]:
+        pts = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        pts[::9] = pts[4]  # coinciding points
+        pts[1::11] = pts[1::11].real  # a collinear run
+        i, j = la.near_pairs(pts, radius)
+        got = set(zip(i.tolist(), j.tolist()))
+        assert len(got) == len(i) and np.all(i < j)
+        bi, bj = np.nonzero(np.triu(np.abs(pts[:, None] - pts[None, :]) <= radius, 1))
+        assert set(zip(bi.tolist(), bj.tolist())) <= got
+
+
+@pytest.mark.parametrize("m", [256, 1024])
+def test_curve_gaps_match_brute_force(m):
+    gaps = []
+    for v in seeded_curves(m):
+        extent = la.curve_extent(v)
+        diameter = np.abs(v[:, None] - v[None, :]).max()
+        assert diameter <= extent <= np.sqrt(2) * diameter
+        assert la.curve_gap_ratio(v) == brute_sample_gap(v) / extent
+        gap = la.segment_gap(v)
+        assert abs(gap - brute_segment_gap(v)) <= 1e-14 * extent
+        gaps.append(gap)
+    assert gaps[0] > 0 and gaps[1] == 0 and gaps[-1] == 0
+    assert any(g > 0 for g in gaps[3:-1])
+
+
 def test_unit_roots_are_read_only():
     roots = la.unit_roots(16)
     with pytest.raises(ValueError):

@@ -9,9 +9,12 @@ structure map is checked against those kernels on a generic point.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from todafrob import canonical as ca
 from todafrob import laurent as la
 from todafrob import manifold as mf
 from todafrob.laurent import LaurentSeries as LS
@@ -258,6 +261,39 @@ def test_membership_reports():
     assert repb.nondegenerate
     assert repb.gamma_winding == 2
     assert not repb.in_open_stratum
+
+
+def w_with_inner_loops(a):
+    """lam = z - 1/z + a z^-2, lbar = 1/z, so w = z + a z^-2.  For
+    0 < a < 1, w winds once and w' vanishes only at a = 1/2; past that
+    cusp the curve crosses itself."""
+    return mf.Point(LS(-2, [a, -1.0, 0.0, 1.0]), LS(-1, [1.0]))
+
+
+def test_membership_certifies_simplicity():
+    rep = mf.check_membership(w_with_inner_loops(0.7))
+    assert rep.nondegenerate and rep.gamma_winding == 1
+    assert not rep.in_open_stratum
+    assert rep.gamma_min_gap_ratio == 0.0 and rep.notes == "polygon crosses itself"
+
+    rep = mf.check_membership(w_with_inner_loops(0.3))
+    assert rep.in_open_stratum and rep.gamma_simple_margin > 1 and rep.notes == ""
+    # a grid too coarse to certify the turning of the tangent fails closed
+    rep = mf.check_membership(w_with_inner_loops(0.3), grid_size=64)
+    assert rep.gamma_simple_margin > 1 and not rep.in_open_stratum
+    assert rep.notes == "simplicity unresolved at m=64"
+
+
+def test_simplicity_tests_take_linear_memory():
+    pt = mf.sample_point(5, n=384)  # m = 4096: an m x m matrix would take 256 MiB
+    for fn in (mf.check_membership, ca.canonical_data):
+        tracemalloc.start()
+        try:
+            fn(pt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, fn.__name__
 
 
 def test_validation_errors():

@@ -10,6 +10,7 @@ trilinear form on flat frames.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import todafrob.flatcoords as fc
 import todafrob.laurent as la
@@ -129,6 +130,15 @@ def test_locus_values():
         assert abs(po.potential_F(q) - 0.5 * u * v**2) < 1e-13
         assert abs(po.dF_du(q) - 0.5 * v**2) < 1e-14
         assert abs(po.dF_dv(q) - u * v) < 1e-13
+
+
+def test_potential_refuses_cancellation():
+    # on the locus F = u v^2/2 comes out of terms of size e^u that cancel
+    for u in (2.0, 10.0):
+        assert abs(po.potential_F(mf.locus_point(u, 0.2)) - 0.02 * u) < 1e-8
+    for u in (20.0, 40.0, 100.0):
+        with pytest.raises(la.TruncationLoss):
+            po.potential_F(mf.locus_point(u, 0.2))
 
 
 def test_first_derivatives_match_chart_differences():
