@@ -6,6 +6,12 @@ along that curve yields coefficients t_n that, together with u and v,
 form a flat chart for the metric.  This module extracts the chart from
 a point, rebuilds the point from chart data by a per-node Newton
 solve, and provides the coordinate frame and differentials.
+
+Both directions of the chart run in O(terms * m) time and O(m) memory
+on an m-point grid.  The moments t_n step through the powers w^{-n-1}
+by one multiplication by w per n.  The series phi(w) = sum t_n w^n and
+phi'(w) are evaluated by Horner's rule, in w for the terms n >= 0 and
+in 1/w for n < 0, so no power of w is formed term by term.
 """
 
 from __future__ import annotations
@@ -37,10 +43,48 @@ def flat_coordinates(
 
     def rows(w, w_p, row0):
         h, wv, wpv = _log_ratio_grid(w, w_p, m, row0)
-        return np.stack([la.contour_mean(h * wv ** (-n - 1) * wpv) for n in ns], axis=-1)
+        f = h * wv ** (-n_hi - 1) * wpv  # the n_hi integrand; one step of w per n
+        out = np.empty(f.shape[:-1] + (len(ns),), dtype=complex)
+        for j in reversed(range(len(ns))):
+            out[..., j] = la.contour_mean(f)
+            if j:
+                f *= wv
+        return out
 
     ts = la.by_row_blocks(rows, (pt.w, pt.w_p), m)
     return dict(zip(ns, ts.tolist() if ts.ndim == 1 else ts.T))
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray):
+    """(p(x), p'(x)) of p = sum_k coeffs[k] x^k, by Horner's rule."""
+    p = np.zeros_like(x)
+    dp = np.zeros_like(x)
+    for c in coeffs[::-1]:
+        dp *= x
+        dp += p
+        p *= x
+        p += c
+    return p, dp
+
+
+def _series_and_derivative(ns: np.ndarray, cs: np.ndarray, wv: np.ndarray):
+    """(phi, phi') at wv for phi(w) = sum cs[j] w^ns[j], ns sorted.
+
+    Horner in w for the terms n >= 0 and in x = 1/w for n < 0, where
+    d/dw = -x^2 d/dx; no intermediate grows beyond the largest term.
+    """
+    split = int(np.searchsorted(ns, 0))
+    pos = np.zeros(int(ns[-1]) + 1 if split < len(ns) else 0, dtype=complex)
+    pos[ns[split:]] = cs[split:]
+    neg = np.zeros(1 - int(ns[0]) if split else 0, dtype=complex)
+    neg[-ns[:split]] = cs[:split]
+    phi, dphi = _horner(pos, wv)
+    if split:
+        x = 1.0 / wv
+        q, dq = _horner(neg, x)
+        phi += q
+        dphi -= x * x * dq
+    return phi, dphi
 
 
 def point_from_flat(
@@ -54,45 +98,46 @@ def point_from_flat(
 ) -> Point:
     """Rebuild the point with chart data (t, u, v).
 
-    Solves w * exp(sum t_n w^n) = z per grid node by damped Newton
-    seeded at w = z, then reconstructs (lam, lbar) from the recovered
-    w series and the fiber coordinates u, v.
+    Solves w * exp(phi(w)) = z, phi(w) = sum t_n w^n, per grid node by
+    damped Newton seeded at w = z, then reconstructs (lam, lbar) from
+    the recovered w series and the fiber coordinates u, v.  phi and phi'
+    come from one Horner pass over the dense coefficients (in w for
+    n >= 0, in 1/w for n < 0), once per damping trial; the accepted
+    trial's exp(phi) and phi' serve the next Newton step.
     """
     m = grid_size or la.default_grid_size(2 * band_n)
     zs = la.unit_roots(m)
     ns = np.array(sorted(t.keys()), dtype=int)
     cs = np.array([t[int(n)] for n in ns], dtype=complex)
 
-    def phi(wv):
-        return np.sum(cs[:, None] * wv[None, :] ** ns[:, None], axis=0)
-
-    def dphi(wv):
-        return np.sum(ns[:, None] * cs[:, None] * wv[None, :] ** (ns[:, None] - 1), axis=0)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        wv = zs.astype(complex).copy()
-        g = wv * np.exp(phi(wv)) - zs
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        wv = zs.astype(complex)
+        f, df = _series_and_derivative(ns, cs, wv)
+        e = np.exp(f)
+        g = wv * e - zs
         err = float(np.max(np.abs(g)))
         for _ in range(max_iter):
             if err < tol:
                 break
             if not np.isfinite(err) or err > 1e8:
                 raise NewtonDiverged(f"residual {err:.3e} blew up")
-            gp = np.exp(phi(wv)) * (1.0 + wv * dphi(wv))
+            gp = e * (1.0 + wv * df)
             if float(np.min(np.abs(gp))) < 1e-14:
                 raise NewtonDiverged("derivative vanished at a grid node")
             step = g / gp
             damp = 1.0
             while True:
                 cand = wv - damp * step
-                gc = cand * np.exp(phi(cand)) - zs
+                f, df = _series_and_derivative(ns, cs, cand)
+                ec = np.exp(f)
+                gc = cand * ec - zs
                 cand_err = float(np.max(np.abs(gc)))
                 if np.isfinite(cand_err) and cand_err < err:
                     break
                 damp *= 0.5
                 if damp < 2.0**-25:
                     raise NewtonDiverged(f"no descent from residual {err:.3e}")
-            wv, g, err = cand, gc, cand_err
+            wv, e, g, err = cand, ec, gc, cand_err
         else:
             raise NewtonDiverged(f"residual {err:.3e} after {max_iter} iterations")
 

@@ -19,6 +19,9 @@ from .manifold import Point, Tangent, ell_variation, euler_field, point_shift
 # The tolerance of the potential suite: F is refused when rounding alone
 # could move it by more than this, relative to max(1, |F|).
 F_ROUNDING_TOL = 1e-8
+# The tolerance of the quasihomogeneity suite: E F is refused when the
+# rounding of its two values of F, over 2h, exceeds this times max(1, |E F|).
+EF_ROUNDING_TOL = 1e-6
 
 
 def first_sum(pt: Point) -> complex:
@@ -30,12 +33,8 @@ def first_sum(pt: Point) -> complex:
     return -0.5 * total
 
 
-def potential_F(pt: Point, grid_size: int | None = None) -> complex:
-    """Value of the potential at the point.
-
-    Refused (TruncationLoss) when the terms cancel so far that rounding,
-    bounded by 2^-52 sum |term|, exceeds F_ROUNDING_TOL * max(1, |F|).
-    """
+def _potential_sum(pt: Point, grid_size: int | None) -> tuple[complex, float]:
+    """F and the bound 2^-52 sum |term| on the rounding of its term sum."""
     p = log_ratio_pairing(pt, grid_size)
     u0, v, u = pt.u0, pt.v, pt.u
     terms = (
@@ -46,8 +45,16 @@ def potential_F(pt: Point, grid_size: int | None = None) -> complex:
         pt.um1,
         pt.ubarm1 * pt.ubar1,
     )
-    F = sum(terms[1:], terms[0])
-    bound = 2.0**-52 * sum(abs(t) for t in terms)
+    return sum(terms[1:], terms[0]), 2.0**-52 * sum(abs(t) for t in terms)
+
+
+def potential_F(pt: Point, grid_size: int | None = None) -> complex:
+    """Value of the potential at the point.
+
+    Refused (TruncationLoss) when the terms cancel so far that rounding,
+    bounded by 2^-52 sum |term|, exceeds F_ROUNDING_TOL * max(1, |F|).
+    """
+    F, bound = _potential_sum(pt, grid_size)
     if bound > F_ROUNDING_TOL * max(1.0, abs(F)):
         raise la.TruncationLoss(
             f"potential lost to cancellation: rounding bound {bound:.1e} above "
@@ -179,11 +186,21 @@ def trilinear_form(pt: Point, x1: Tangent, x2: Tangent, x3: Tangent,
 
 
 def euler_derivative(pt: Point, h: float = 1e-5, grid_size: int | None = None) -> complex:
-    """E F by a centered difference along the Euler field."""
+    """E F by a centered difference along the Euler field.
+
+    Refused (TruncationLoss) when the rounding bounds of the two values
+    of F, divided by 2h, exceed EF_ROUNDING_TOL * max(1, |E F|).
+    """
     ef = euler_field(pt)
-    fp = potential_F(point_shift(pt, ef, h), grid_size)
-    fm = potential_F(point_shift(pt, ef, -h), grid_size)
-    return (fp - fm) / (2 * h)
+    fp, bp = _potential_sum(point_shift(pt, ef, h), grid_size)
+    fm, bm = _potential_sum(point_shift(pt, ef, -h), grid_size)
+    d = (fp - fm) / (2 * h)
+    bound = (bp + bm) / (2 * h)
+    if bound > EF_ROUNDING_TOL * max(1.0, abs(d)):
+        raise la.TruncationLoss(
+            f"Euler derivative lost to cancellation: rounding bound {bound:.1e} "
+            f"above {EF_ROUNDING_TOL:.0e} * max(1, |E F|)")
+    return d
 
 
 def quasihomogeneity_residual(pt: Point, h: float = 1e-5,

@@ -199,10 +199,11 @@ def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
-@pytest.mark.parametrize("u", ["100", "16.92982", "-30"])
+@pytest.mark.parametrize("u", ["100", "16.92982", "15", "-30"])
 def test_potential_out_of_reach_is_one_line_and_exit_2(tmp_path, capsys, u):
-    # u = 100: F cancels to rounding; u = 16.92982: F passes, but not at a
-    # point the quasihomogeneity check shifts to; u = -30: e^u is too small
+    # u = 100: F cancels to rounding; u = 16.92982 and 15: F passes, but the
+    # Euler derivative of the quasihomogeneity check is lost to rounding;
+    # u = -30: e^u is too small
     assert run("potential", f"--u={u}", "--v", "0.2", "--outdir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("potential refused") and err.count("\n") == 1

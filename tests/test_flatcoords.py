@@ -10,6 +10,8 @@ moment-integral formula used by the implementation.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,82 @@ def test_scalar_identities():
 def test_newton_divergence_is_reported():
     with pytest.raises(fc.NewtonDiverged):
         fc.point_from_flat({1: 10.0}, 0.0, 0.0, band_n=16)
+
+
+# -- Horner evaluation of the chart series ---------------------------------
+# The per-term powers below are the evaluation the Horner passes replaced;
+# they stay here only as the reference.
+
+
+def series_reference(t, wv):
+    phi = sum(c * wv**n for n, c in t.items())
+    dphi = sum(n * c * wv ** (n - 1) for n, c in t.items())
+    return phi, dphi
+
+
+@pytest.mark.parametrize("keys", [
+    range(-140, 141),
+    [-17, -9, -8, -2, 0, 3, 4, 11, 30],
+    [0, 1, 2, 5, 13],
+    [-1, -4, -5, -20],
+], ids=["281-keys", "gaps", "positive", "negative"])
+def test_series_evaluation_matches_per_term_powers(keys):
+    rng = np.random.default_rng(5)
+    t = {n: complex(*rng.normal(size=2)) * 0.03 * 0.9 ** abs(n) for n in keys}
+    ns = np.array(sorted(t), dtype=int)
+    cs = np.array([t[n] for n in ns])
+    wv = la.grid_eval(PT.w, 512)
+    phi, dphi = fc._series_and_derivative(ns, cs, wv)
+    ref, dref = series_reference(t, wv)
+    # rounding is relative to the largest term, not to the sum
+    scale = max(float(np.max(np.abs(c * wv**n))) for n, c in t.items())
+    dscale = max(float(np.max(np.abs(n * c * wv ** (n - 1)))) for n, c in t.items())
+    assert np.max(np.abs(phi - ref)) < 1e-14 * len(t) * scale
+    assert np.max(np.abs(dphi - dref)) < 1e-14 * len(t) * dscale
+
+
+def test_empty_chart_is_the_locus_point():
+    for u, v in [(0.3, -0.2), (-0.4 + 0.1j, 0.25 - 0.05j)]:
+        pt, ref = fc.point_from_flat({}, u, v), mf.locus_point(u, v)
+        assert la.series_dist(pt.lam, ref.lam) < 1e-15
+        assert la.series_dist(pt.lbar, ref.lbar) < 1e-15
+
+
+def test_chart_moments_match_per_n_powers():
+    m = 2048
+    t = fc.flat_coordinates(PT, -140, 140, grid_size=m)
+    zs = la.unit_roots(m)
+    wv = la.grid_eval(PT.w, m)
+    base = la.log_values_on_circle(zs / wv) * la.grid_eval(PT.w_p, m)
+    for n in range(-140, 141):
+        assert abs(t[n] - la.contour_mean(base * wv ** (-n - 1))) < 1e-14, n
+
+
+def test_stacked_chart_is_bit_equal_to_pointwise():
+    pts = [mf.sample_point(seed, n=10) for seed in range(8)]
+
+    def stack(series):
+        lo, hi = min(f.lo for f in series), max(f.hi for f in series)
+        return LS(lo, np.array([f.window(lo, hi) for f in series]))
+
+    stacked = mf.Point(stack([p.lam for p in pts]), stack([p.lbar for p in pts]))
+    ts = fc.flat_coordinates(stacked, -12, 12)
+    for k, p in enumerate(pts):
+        t = fc.flat_coordinates(p, -12, 12)
+        assert all(ts[n][k] == t[n] for n in t)
+
+
+def traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_chart_takes_memory_linear_in_the_grid():
+    # per-term (terms x m) arrays would take 4.6 MiB for the inverse here
+    t = fc.flat_coordinates(PT, -140, 140, grid_size=2048)
+    assert traced_peak_mib(lambda: fc.point_from_flat(t, PT.u, PT.v, band_n=40)) < 1.0
+    assert traced_peak_mib(lambda: fc.flat_coordinates(PT, -140, 140, grid_size=2048)) < 1.0

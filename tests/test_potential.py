@@ -231,3 +231,11 @@ def test_quasihomogeneity():
     assert abs(po.quasihomogeneity_residual(PT)) < 1e-6
     assert abs(po.quasihomogeneity_residual(PTF)) < 1e-6
     assert abs(po.quasihomogeneity_residual(mf.locus_point(0.2, 0.1))) < 1e-7
+
+
+def test_quasihomogeneity_refuses_cancellation():
+    # E F subtracts values of F whose terms are of size e^u: at u = 15 the
+    # rounding bound over 2h is 1.5e-4, above the 1e-6 suite tolerance
+    assert abs(po.quasihomogeneity_residual(mf.locus_point(5.0, 0.2))) < 1e-6
+    with pytest.raises(la.TruncationLoss):
+        po.quasihomogeneity_residual(mf.locus_point(15.0, 0.2))
