@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
     """The config file overlaid by the flags.  Every value from either
-    source is checked by _setting, and the flow step must fit in T."""
+    source is checked by _setting, and T must be a whole number of flow
+    steps h."""
     cfg = load_config(args.config)
     flags = {k: v for k, v in vars(args).items() if v is not None}
     for key in [*_NUMBERS, "outdir"]:
@@ -425,6 +426,13 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, val)
     if flags.get("h", 0.0) > flags.get("T", math.inf):
         raise ConfigError(f"h must not exceed T, got h={flags['h']!r}, T={flags['T']!r}")
+    if "h" in flags and "T" in flags:
+        # integrate takes round(T / h) steps; the tolerance absorbs the
+        # rounding of the quotient, as in 0.07 / 0.01 = 7.000000000000001
+        steps = flags["T"] / flags["h"]
+        if not math.isclose(steps, round(steps), rel_tol=1e-9):
+            raise ConfigError(f"T must be a whole number of steps h, got "
+                              f"T={flags['T']!r}, h={flags['h']!r} (T/h = {steps!r})")
     if flags.get("parallel"):
         cfg.parallel = True
     if flags.get("suites"):

@@ -4,11 +4,16 @@ integrator with conservation ledgers.
 
 A loop field is a banded z-expansion whose coefficients are periodic in
 x and sampled on K collocation nodes; products are pseudospectral in x
-with 2/3-rule dealiasing and exact banded convolution in z.
+with 2/3-rule dealiasing and exact banded convolution in z.  Dealiasing
+is linear, so the bracket dealiases the difference of its two raw
+products once.  A Hamiltonian density needs only the x-mean of the z^0
+row of a power, which dealiasing never changes, so it is a one-row
+contraction of the next lower power with the field.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,18 +40,36 @@ BLOWUP_LIMIT = 1e6
 TAIL_LIMIT = 1e-6
 
 
+@functools.lru_cache(maxsize=16)
+def _modes(k: int) -> np.ndarray:
+    """Integer x-wavenumbers of a K-point grid in FFT order (read-only)."""
+    modes = np.rint(np.fft.fftfreq(k, 1.0 / k)).astype(int)
+    modes.flags.writeable = False
+    return modes
+
+
 def _dealias(arr: np.ndarray) -> np.ndarray:
     k = arr.shape[1]
     spec = np.fft.fft(arr, axis=1)
-    modes = np.rint(np.fft.fftfreq(k, 1.0 / k)).astype(int)
-    spec[:, np.abs(modes) > k // 3] = 0.0
+    spec[:, np.abs(_modes(k)) > k // 3] = 0.0
     return np.fft.ifft(spec, axis=1)
 
 
 def _x_deriv_values(vals: np.ndarray) -> np.ndarray:
     k = vals.shape[-1]
-    modes = np.rint(np.fft.fftfreq(k, 1.0 / k)).astype(int)
-    return np.fft.ifft(1j * modes * np.fft.fft(vals, axis=-1), axis=-1)
+    return np.fft.ifft(1j * _modes(k) * np.fft.fft(vals, axis=-1), axis=-1)
+
+
+def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact z-convolution of two coefficient stacks, nodewise in x and
+    not dealiased; the row loop runs over the stack with fewer rows."""
+    if a.shape[0] > b.shape[0]:
+        a, b = b, a
+    n1, n2 = a.shape[0], b.shape[0]
+    out = np.zeros((n1 + n2 - 1, a.shape[1]), dtype=complex)
+    for i in range(n1):
+        out[i : i + n2] += a[i] * b
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,11 +133,7 @@ class LoopField:
     def __mul__(self, other: "LoopField") -> "LoopField":
         if self.nodes != other.nodes:
             raise la.GridMismatch("node counts differ")
-        n1, n2 = self.coeffs.shape[0], other.coeffs.shape[0]
-        out = np.zeros((n1 + n2 - 1, self.nodes), dtype=complex)
-        for i in range(n1):
-            out[i : i + n2] += self.coeffs[i] * other.coeffs
-        return LoopField(self.lo + other.lo, _dealias(out))
+        return LoopField(self.lo + other.lo, _dealias(_conv(self.coeffs, other.coeffs)))
 
     def nodal_mul(self, values: np.ndarray) -> "LoopField":
         return LoopField(self.lo, _dealias(self.coeffs * values[None, :]))
@@ -146,8 +165,7 @@ class LoopField:
         top = float(np.max(spec))
         if top == 0.0:
             return 0.0
-        modes = np.rint(np.fft.fftfreq(k, 1.0 / k)).astype(int)
-        edge = np.abs(modes) == k // 3
+        edge = np.abs(_modes(k)) == k // 3
         return float(np.max(spec[:, edge])) / top
 
 
@@ -167,8 +185,12 @@ def field_dist(f: LoopField, g: LoopField) -> float:
 
 
 def pb(f: LoopField, g: LoopField) -> LoopField:
-    """Cylinder bracket z f_z g_x - z g_z f_x."""
-    return f.zdz() * g.x_deriv() - g.zdz() * f.x_deriv()
+    """Cylinder bracket z f_z g_x - z g_z f_x, dealiased once: both raw
+    products cover the same degrees."""
+    if f.nodes != g.nodes:
+        raise la.GridMismatch("node counts differ")
+    raw = _conv(f.zdz().coeffs, g.x_deriv().coeffs) - _conv(g.zdz().coeffs, f.x_deriv().coeffs)
+    return LoopField(f.lo + g.lo, _dealias(raw))
 
 
 # -- loop points, tangents, cotangents --------------------------------
@@ -199,6 +221,16 @@ class LoopPoint:
 
     def max_abs(self) -> float:
         return max(self.lam.max_abs(), self.lbar.max_abs())
+
+    @functools.cached_property
+    def _tails(self) -> dict:
+        top = max(self.max_abs(), 1e-300)
+        z_tail = max(
+            float(np.max(np.abs(self.lam.row(self.lam.lo)))),
+            float(np.max(np.abs(self.lbar.row(self.lbar.hi)))),
+        ) / top
+        x_tail = max(self.lam.x_tail(), self.lbar.x_tail())
+        return {"z_tail": z_tail, "x_tail": x_tail}
 
 
 @dataclass(frozen=True)
@@ -346,13 +378,10 @@ def sample_loop_cotangent(
 
 
 def tail_report(L: LoopPoint) -> dict:
-    top = max(L.max_abs(), 1e-300)
-    z_tail = max(
-        float(np.max(np.abs(L.lam.row(L.lam.lo)))),
-        float(np.max(np.abs(L.lbar.row(L.lbar.hi)))),
-    ) / top
-    x_tail = max(L.lam.x_tail(), L.lbar.x_tail())
-    return {"z_tail": z_tail, "x_tail": x_tail}
+    """Relative size of the band-edge z rows and of the edge x-mode.
+    Computed once per point, so the ledger of integrate reads the report
+    that certified the RK4 step."""
+    return dict(L._tails)
 
 
 def tangent_part(L: LoopPoint, dlam: LoopField, dlbar: LoopField):
@@ -362,10 +391,20 @@ def tangent_part(L: LoopPoint, dlam: LoopField, dlbar: LoopField):
     discarded; the degree-1 part of the first slot vanishes identically
     for the implemented flows, so a large defect flags band overflow."""
     scale = max(dlam.max_abs(), dlbar.max_abs(), 1e-300)
-    a = dlam.project("geq", L.lam.lo).project("leq", 0)
-    ab = dlbar.project("geq", -1).project("leq", L.lbar.hi)
-    defect = max(field_dist(dlam, a), field_dist(dlbar, ab)) / scale
-    return LoopTangent(a, ab), defect
+    a, a_out = _window(dlam, L.lam.lo, 0)
+    ab, ab_out = _window(dlbar, -1, L.lbar.hi)
+    return LoopTangent(a, ab), max(a_out, ab_out) / scale
+
+
+def _window(f: LoopField, lo: int, hi: int) -> tuple[LoopField, float]:
+    """The rows of f in degrees lo..hi, trimmed, and the largest
+    coefficient outside them."""
+    rows = f.coeffs.shape[0]
+    i0 = min(max(lo - f.lo, 0), rows)
+    i1 = min(max(hi - f.lo + 1, i0), rows)
+    inside = LoopField(f.lo + i0, f.coeffs[i0:i1]).trim()
+    outside = max(np.abs(f.coeffs[:i0]).max(initial=0.0), np.abs(f.coeffs[i1:]).max(initial=0.0))
+    return inside, float(outside)
 
 
 # -- flows -------------------------------------------------------------
@@ -455,8 +494,9 @@ def hamiltonian(L: LoopPoint, n: int, bar: bool = False) -> complex:
         t = fc.flat_coordinates(_node_points(L), -1, -1)[-1]
         return complex(-np.mean(t + L.lbar.row(0)))
     f = L.lbar if bar else L.lam
-    p = _field_power(f, n + 1)
-    return complex(-np.mean(p.row(0)) / (n + 1))
+    # row 0 of f ** n * f before dealiasing: its x-mean is the same
+    row0 = _pair_rows(_field_power(f, n), f.shift(-1))
+    return complex(-np.mean(row0) / (n + 1))
 
 
 def gradient(L: LoopPoint, n: int, bar: bool = False) -> LoopCotangent:

@@ -156,6 +156,16 @@ def test_flow_ledger_conservation(tmp_path):
     assert {"nodes", "lam", "lbar"} <= set(snaps[0]["loop"])
 
 
+# 0.07 / 0.01 = 7.000000000000001: a whole number of steps up to rounding
+@pytest.mark.parametrize("T, h, steps", [("0.1", "0.025", 4), ("0.07", "0.01", 7)])
+def test_flow_reaches_T_in_whole_steps(tmp_path, T, h, steps):
+    assert run("flow", "--seed", "3", "--flow", "s1", "--T", T,
+               "--h", h, "--outdir", str(tmp_path)) == 0
+    lines = (tmp_path / "flow_ledger.csv").read_text().strip().split("\n")
+    assert len(lines) == steps + 2  # header + records at steps 0..steps
+    assert abs(float(lines[-1].split(",")[1]) - float(T)) < 1e-15
+
+
 def test_flow_rejects_bad_tag(tmp_path, capsys):
     code = run("flow", "--seed", "3", "--flow", "zz", "--outdir", str(tmp_path))
     assert code == 2
@@ -185,6 +195,7 @@ def test_canonical_csv(tmp_path):
     ["flow", "--seed", "1", "--h", "0"],
     ["flow", "--seed", "1", "--h", "-0.001"],
     ["flow", "--seed", "1", "--h", "0.2", "--T", "0.1"],
+    ["flow", "--seed", "1", "--h", "0.04", "--T", "0.1"],
     ["flow", "--seed", "1", "--T", "-1"],
     ["flow", "--seed", "1", "--record-every", "0"],
     ["canonical", "--seed", "1", "--grid", "5"],

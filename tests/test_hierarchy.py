@@ -436,3 +436,126 @@ def test_serialization_roundtrip():
     back = hi.loop_from_json_dict(json.loads(json.dumps(d)))
     assert loop_dist(L3, back) == 0.0
     assert back.nodes == K
+
+
+# -- the loop-field kernel -----------------------------------------------
+# The kernel convolves in z over the operand with fewer rows, dealiases a
+# bracket once and reads a Hamiltonian off one row; these references are
+# the arithmetic it replaced: a row loop over the first operand, one
+# dealias per product, full powers, and projections compared by distance.
+
+
+def ref_dealias(arr: np.ndarray) -> np.ndarray:
+    k = arr.shape[1]
+    spec = np.fft.fft(arr, axis=1)
+    modes = np.rint(np.fft.fftfreq(k, 1.0 / k)).astype(int)
+    spec[:, np.abs(modes) > k // 3] = 0.0
+    return np.fft.ifft(spec, axis=1)
+
+
+def ref_mul(f: hi.LoopField, g: hi.LoopField) -> hi.LoopField:
+    n1, n2 = f.coeffs.shape[0], g.coeffs.shape[0]
+    out = np.zeros((n1 + n2 - 1, f.nodes), dtype=complex)
+    for i in range(n1):
+        out[i : i + n2] += f.coeffs[i] * g.coeffs
+    return hi.LoopField(f.lo + g.lo, ref_dealias(out))
+
+
+def ref_pb(f: hi.LoopField, g: hi.LoopField) -> hi.LoopField:
+    return ref_mul(f.zdz(), g.x_deriv()) - ref_mul(g.zdz(), f.x_deriv())
+
+
+def ref_hamiltonian(L: hi.LoopPoint, n: int, bar: bool) -> complex:
+    f = L.lbar if bar else L.lam
+    p = f
+    for _ in range(n):
+        p = ref_mul(p, f)
+    return complex(-np.mean(p.row(0)) / (n + 1))
+
+
+def ref_tangent_part(L: hi.LoopPoint, dlam: hi.LoopField, dlbar: hi.LoopField):
+    scale = max(dlam.max_abs(), dlbar.max_abs(), 1e-300)
+    a = dlam.project("geq", L.lam.lo).project("leq", 0)
+    ab = dlbar.project("geq", -1).project("leq", L.lbar.hi)
+    defect = max(hi.field_dist(dlam, a), hi.field_dist(dlbar, ab)) / scale
+    return hi.LoopTangent(a, ab), defect
+
+
+LOOPS = {K_: hi.sample_loop(11, nodes=K_) for K_ in (32, 128)}
+
+
+def t_minus_2_generator(L: hi.LoopPoint) -> hi.LoopField:
+    return hi.w_power_field(L, -1).project("leq", -1)
+
+
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_products_and_bracket_match_the_reference(nodes):
+    L = LOOPS[nodes]
+    one_row = hi.LoopField(0, L.lbar.row(0))
+    wide = t_minus_2_generator(L).project("geq", -120)
+    assert (one_row.coeffs.shape[0], wide.coeffs.shape[0], L.lam.coeffs.shape[0]) == (1, 120, 18)
+    pairs = [(L.lam, one_row), (one_row, L.lam), (L.lam, L.lbar), (wide, L.lam)]
+    for f, g in pairs:
+        got, ref = f * g, ref_mul(f, g)
+        assert (got.lo, got.coeffs.shape) == (ref.lo, ref.coeffs.shape)
+        assert hi.field_dist(got, ref) <= 1e-14 * ref.max_abs(), (f.coeffs.shape, g.coeffs.shape)
+    for f, g in [(t_minus_2_generator(L), L.lam), (L.lam, L.lbar)]:
+        got, ref = hi.pb(f, g), ref_pb(f, g)
+        assert got.lo == ref.lo
+        assert hi.field_dist(got, ref) <= 1e-14 * ref.max_abs()
+
+
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_hamiltonians_match_the_full_power(nodes):
+    L = LOOPS[nodes]
+    for bar in (False, True):
+        for n in range(4):
+            ref = ref_hamiltonian(L, n, bar)
+            assert abs(hi.hamiltonian(L, n, bar) - ref) <= 1e-14 * abs(ref), (n, bar)
+
+
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_tangent_part_is_bit_equal_to_the_projections(nodes):
+    L = LOOPS[nodes]
+    # t:-2 leaks past the band, so its defect is far from zero
+    for flow in [("s", 1), ("sbar", 2), ("t", -2), "v"]:
+        raw = hi.flow_rhs(L, flow)
+        (t, defect), (ref, ref_defect) = hi.tangent_part(L, *raw), ref_tangent_part(L, *raw)
+        assert defect == ref_defect, flow
+        for got, want in [(t.a, ref.a), (t.ab, ref.ab)]:
+            assert got.lo == want.lo and np.array_equal(got.coeffs, want.coeffs), flow
+        if flow == ("t", -2):
+            assert defect > 1e-9
+
+
+def counted(monkeypatch, owner, name: str) -> Counter:
+    """Count the calls of owner.<name> until the patch is undone."""
+    counts = Counter()
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return counts
+
+
+def test_kernel_dealiases_once_per_bracket_and_power(monkeypatch):
+    calls = counted(monkeypatch, hi, "_dealias")
+    hi.pb(L3.lam, L3.lbar)
+    assert calls["_dealias"] == 1
+    for n in (1, 2, 3):
+        for bar in (False, True):
+            calls.clear()
+            hi.hamiltonian(L3, n, bar)
+            assert calls["_dealias"] == n - 1, (n, bar)
+
+
+def test_integrate_computes_one_tail_report_per_step(monkeypatch):
+    # a tail report takes the x-tail of both slots, once per state
+    calls = counted(monkeypatch, hi.LoopField, "x_tail")
+    fresh = hi.LoopPoint(L3.lam, L3.lbar)  # no report cached yet
+    _, ledger = hi.integrate(fresh, "v", 3e-3, 1e-3)
+    assert len(ledger) == 4
+    assert calls["x_tail"] == 2 * 4  # the initial state, then one per step
