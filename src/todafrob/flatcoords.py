@@ -95,6 +95,7 @@ def point_from_flat(
     grid_size: int | None = None,
     tol: float = 1e-13,
     max_iter: int = 60,
+    widen: tuple[int, ...] = (),
 ) -> Point:
     """Rebuild the point with chart data (t, u, v).
 
@@ -104,7 +105,16 @@ def point_from_flat(
     come from one Horner pass over the dense coefficients (in w for
     n >= 0, in 1/w for n < 0), once per damping trial; the accepted
     trial's exp(phi) and phi' serve the next Newton step.
+
+    When the w spectrum does not fit the band [-band_n, band_n], the
+    half bands in `widen` are tried in turn, each on its own grid; the
+    refusal of the last one propagates and names its band.
     """
+    return la.first_certified(
+        lambda n: _point_on_band(t, u, v, n, grid_size, tol, max_iter), (band_n, *widen))
+
+
+def _point_on_band(t, u, v, band_n, grid_size, tol, max_iter) -> Point:
     m = grid_size or la.default_grid_size(2 * band_n)
     zs = la.unit_roots(m)
     ns = np.array(sorted(t.keys()), dtype=int)

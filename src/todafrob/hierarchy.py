@@ -6,9 +6,16 @@ A loop field is a banded z-expansion whose coefficients are periodic in
 x and sampled on K collocation nodes; products are pseudospectral in x
 with 2/3-rule dealiasing and exact banded convolution in z.  Dealiasing
 is linear, so the bracket dealiases the difference of its two raw
-products once.  A Hamiltonian density needs only the x-mean of the z^0
+products once, and a flow's two brackets share the x-derivative of
+their generator.  A Hamiltonian density needs only the x-mean of the z^0
 row of a power, which dealiasing never changes, so it is a one-row
 contraction of the next lower power with the field.
+
+The negative primary flows and the Casimir H_-1 need certified circle
+operations at every node.  Each runs first on the widest band that half
+the pointwise grid holds (119 coefficients on 512 points, against 241
+on 1024), and on the pointwise band Point.inv_halfband only when that
+refuses, so whatever certifies on the pointwise band still certifies.
 """
 
 from __future__ import annotations
@@ -139,15 +146,14 @@ class LoopField:
         return LoopField(self.lo, _dealias(self.coeffs * values[None, :]))
 
     def project(self, kind: str, k: int) -> "LoopField":
-        out = self.coeffs.copy()
-        degs = np.arange(self.lo, self.hi + 1)
-        if kind == "geq":
-            out[degs < k] = 0.0
-        elif kind == "leq":
-            out[degs > k] = 0.0
-        else:
+        """Degrees >= k ("geq") or <= k ("leq"), trimmed: a view of those
+        rows, not a copy of the whole field."""
+        if kind not in ("geq", "leq"):
             raise ValueError(f"unknown projection kind {kind!r}")
-        return LoopField(self.lo, out).trim()
+        cut = min(max(k - self.lo + (kind == "leq"), 0), self.coeffs.shape[0])
+        if kind == "geq":
+            return LoopField(self.lo + cut, self.coeffs[cut:]).trim()
+        return LoopField(self.lo, self.coeffs[:cut]).trim()
 
     def zdz(self) -> "LoopField":
         degs = np.arange(self.lo, self.hi + 1, dtype=float)
@@ -189,8 +195,22 @@ def pb(f: LoopField, g: LoopField) -> LoopField:
     products cover the same degrees."""
     if f.nodes != g.nodes:
         raise la.GridMismatch("node counts differ")
-    raw = _conv(f.zdz().coeffs, g.x_deriv().coeffs) - _conv(g.zdz().coeffs, f.x_deriv().coeffs)
+    return _pb(f, f.x_deriv(), g)
+
+
+def _pb(f: LoopField, fx: LoopField, g: LoopField) -> LoopField:
+    """pb(f, g) given f's x-derivative fx, so that a generator shared by
+    two brackets is differentiated once by the caller."""
+    raw = _conv(f.zdz().coeffs, g.x_deriv().coeffs) - _conv(g.zdz().coeffs, fx.coeffs)
     return LoopField(f.lo + g.lo, _dealias(raw))
+
+
+def _rows(fx: LoopField, part: LoopField) -> LoopField:
+    """The x-derivative fx of a field, restricted to the degrees of part,
+    a projection of that field: the x-derivative of part."""
+    if part.is_zero:
+        return part
+    return LoopField(part.lo, fx.coeffs[part.lo - fx.lo : part.hi - fx.lo + 1])
 
 
 # -- loop points, tangents, cotangents --------------------------------
@@ -421,20 +441,36 @@ def _field_power(f: LoopField, n: int) -> LoopField:
     return out
 
 
+def _halfbands(pt: mf.Point) -> tuple[int, int]:
+    """The half bands a loop's circle op tries: the widest whose band of
+    width 2h runs on half the grid of pt.inv_halfband's, then that one."""
+    cap = pt.inv_halfband
+    m = la.default_grid_size(2 * cap) // 2
+    h = cap
+    while la.default_grid_size(2 * h) > m:
+        h -= 1
+    return h, cap
+
+
 def w_power_field(L: LoopPoint, n: int) -> LoopField:
     """w ** n as a loop field; negative powers by certified division,
-    every node in one stacked call."""
+    every node in one stacked call.  The division runs on the half grid
+    first and on the band of Point.w_pow only if that refuses."""
     if n >= 0:
         return _field_power(L.w, n)
-    q = _node_points(L).w_pow(n)
+    pt = _node_points(L)
+    den = pt.w**-n
+    q = la.first_certified(
+        lambda h: la.divide_on_circle(LS.one(), den, -h + n, h + n), _halfbands(pt))
     return LoopField(q.lo, q.c.T).trim()
 
 
 def log_w_field(L: LoopPoint) -> LoopField:
-    """log(w/z) nodewise, certified winding-zero on every node."""
+    """log(w/z) nodewise, certified winding-zero on every node; on the
+    half grid first, on the band pt.inv_halfband only if that refuses."""
     pt = _node_points(L)
-    h = pt.inv_halfband
-    g = la.log_on_circle(pt.w.shift(-1), -h, h)
+    f = pt.w.shift(-1)
+    g = la.first_certified(lambda h: la.log_on_circle(f, -h, h), _halfbands(pt))
     return LoopField(g.lo, g.c.T).trim()
 
 
@@ -448,24 +484,25 @@ def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
         dl, db = flow_rhs(L, ("sbar", 1))
         return dl.scale(-1.0), db.scale(-1.0)
     kind, n = flow
-    if kind == "s":
-        gen = _field_power(L.lam, n).project("geq", 0)
-        return pb(gen, L.lam), pb(gen, L.lbar)
-    if kind == "sbar":
-        gen = _field_power(L.lbar, n).project("leq", -1)
-        return pb(gen, L.lam), pb(gen, L.lbar)
-    if kind != "t":
+    if kind == "t":
+        gen = log_w_field(L) if n == -1 else w_power_field(L, n + 1)
+        lower, upper = gen.project("leq", -1), gen.project("geq", 0)
+    elif kind == "s":
+        gen = lower = upper = _field_power(L.lam, n).project("geq", 0)
+    elif kind == "sbar":
+        gen = lower = upper = _field_power(L.lbar, n).project("leq", -1)
+    else:
         raise ValueError(f"unknown flow {flow!r}")
-    if n == -1:
-        g = log_w_field(L)
-        dlam = pb(g.project("leq", -1), L.lam) + L.lam.x_deriv()
-        dlbar = pb(g.project("geq", 0), L.lbar).scale(-1.0)
+    # both brackets read the generator's x-derivative, taken once
+    gx = gen.x_deriv()
+    dlam = _pb(lower, _rows(gx, lower), L.lam)
+    dlbar = _pb(upper, _rows(gx, upper), L.lbar)
+    if kind != "t":
         return dlam, dlbar
-    wp = w_power_field(L, n + 1)
+    if n == -1:
+        return dlam + L.lam.x_deriv(), dlbar.scale(-1.0)
     c = 1.0 / (n + 1)
-    dlam = pb(wp.project("leq", -1), L.lam).scale(c)
-    dlbar = pb(wp.project("geq", 0), L.lbar).scale(-c)
-    return dlam, dlbar
+    return dlam.scale(c), dlbar.scale(-c)
 
 
 def _flow_tangent(L: LoopPoint, flow) -> LoopTangent:
@@ -487,11 +524,14 @@ def primary_rhs(L: LoopPoint, flow) -> LoopTangent:
 
 def hamiltonian(L: LoopPoint, n: int, bar: bool = False) -> complex:
     """H_n = -(x-average of) [lambda ** (n+1)]_0 / (n+1); the n = -1
-    members are the Casimir densities written in flat coordinates."""
+    members are the Casimir densities written in flat coordinates, t_-1
+    taken by quadrature on the half grid of the negative flows."""
     if n == -1:
         if bar:
             return complex(np.mean(L.lbar.row(0)))
-        t = fc.flat_coordinates(_node_points(L), -1, -1)[-1]
+        pt = _node_points(L)
+        m = la.default_grid_size(2 * _halfbands(pt)[0])
+        t = fc.flat_coordinates(pt, -1, -1, grid_size=m)[-1]
         return complex(-np.mean(t + L.lbar.row(0)))
     f = L.lbar if bar else L.lam
     # row 0 of f ** n * f before dealiasing: its x-mean is the same

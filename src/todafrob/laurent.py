@@ -539,6 +539,19 @@ def log_on_circle(
     return LaurentSeries(lo, by_row_blocks(rows, (f,), m))
 
 
+def first_certified(op, bands):
+    """op(band) for each band in turn, returning the first result that
+    certifies.  Only TruncationLoss moves on to the next band; at the last
+    band it propagates, and its message names that band."""
+    *narrow, last = bands
+    for band in narrow:
+        try:
+            return op(band)
+        except TruncationLoss:
+            pass
+    return op(last)
+
+
 def taylor_reciprocal_at_zero(f: LaurentSeries, order: int) -> LaurentSeries:
     """Taylor expansion of 1/f at z=0 through degree `order`.
 

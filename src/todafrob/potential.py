@@ -215,14 +215,16 @@ def flat_fd_triple(
     pt: Point,
     labels,
     h: float = 5e-3,
-    band_n: int = 100,
+    bands: tuple[int, ...] = (100, 140, 200),
     chart_range: int = 60,
     newton_tol: float = 3e-14,
 ) -> complex:
     """Finite-difference triple derivative in the flat chart.
 
     Centered differences composed per direction, one Richardson step
-    (h and h/2) to cancel the quadratic error term.
+    (h and h/2) to cancel the quadratic error term.  Each chart rebuild
+    tries the half bands in turn and refuses only at the last (see
+    point_from_flat).
     """
     t0 = flat_coordinates(pt, -chart_range, chart_range, grid_size=2048)
     cache: dict = {}
@@ -239,7 +241,7 @@ def flat_fd_triple(
                     v = v + d
                 else:
                     t[lab] = t.get(lab, 0.0) + d
-            q = point_from_flat(t, u, v, band_n=band_n, tol=newton_tol)
+            q = point_from_flat(t, u, v, band_n=bands[0], tol=newton_tol, widen=bands[1:])
             cache[offsets] = potential_F(q)
         return cache[offsets]
 

@@ -151,6 +151,16 @@ def test_scalar_identities():
     assert abs(PT.u0 + t[-1] + PT.v) < 1e-11
 
 
+def test_chart_widens_its_band_only_on_refusal():
+    t = fc.flat_coordinates(PT, -140, 140, grid_size=2048)
+    # the w spectrum of PT needs the band [-24, 24]: 16 and 20 refuse
+    got = fc.point_from_flat(t, PT.u, PT.v, band_n=16, widen=(20, 40))
+    ref = fc.point_from_flat(t, PT.u, PT.v, band_n=40)
+    assert la.series_dist(got.lam, ref.lam) == la.series_dist(got.lbar, ref.lbar) == 0.0
+    with pytest.raises(la.TruncationLoss, match=r"band \[-20,20\]"):
+        fc.point_from_flat(t, PT.u, PT.v, band_n=16, widen=(20,))
+
+
 def test_newton_divergence_is_reported():
     with pytest.raises(fc.NewtonDiverged):
         fc.point_from_flat({1: 10.0}, 0.0, 0.0, band_n=16)

@@ -19,6 +19,7 @@ import todafrob.hierarchy as hi
 import todafrob.laurent as la
 import todafrob.manifold as mf
 import todafrob.verify as vf
+from todafrob.laurent import LaurentSeries as LS
 
 L3 = hi.sample_loop(3)
 K = L3.nodes
@@ -402,33 +403,119 @@ def test_stacked_transport_matches_the_per_node_reference():
 KERNEL = ("grid_eval", "grid_to_series", "divide_on_circle", "log_on_circle", "unwrap_on_circle")
 
 
-def kernel_calls(monkeypatch, nodes: int) -> Counter:
-    """Circle-kernel invocations in one t:-2 RK4 step on an x-constant loop."""
-    counts = Counter()
+def kernel_calls(monkeypatch, nodes: int) -> tuple[Counter, set]:
+    """Circle-kernel invocations in one t:-2 RK4 step on an x-constant
+    loop, and the grid sizes its certified ops ran on."""
+    counts, grids = Counter(), set()
     for name in KERNEL:
         def counted(*args, _fn=getattr(la, name), _name=name, **kwargs):
             counts[_name] += 1
+            if _name in ("divide_on_circle", "log_on_circle"):
+                lo, hi_ = args[-2:]
+                grids.add(kwargs.get("grid_size") or la.default_grid_size(hi_ - lo))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(la, name, counted)
     hi.rk4_step(hi.sample_loop(7, nodes=nodes, mmax=0), ("t", -2), 1e-3)
     monkeypatch.undo()
-    return counts
+    return counts, grids
 
 
 def test_kernel_calls_do_not_grow_with_the_node_count(monkeypatch):
-    # w_power_field divides on a 1024-point grid; only its fixed-size row
-    # blocks may add calls as K grows, never one call per node
-    def blocks(nodes):
-        return -(-nodes // max(1, la.ROW_BLOCK_BYTES // (16 * 1024)))
+    # only the fixed-size row blocks of the grid w_power_field divides on
+    # may add calls as K grows, never one call per node
+    (c8, g8), (c32, g32) = kernel_calls(monkeypatch, 8), kernel_calls(monkeypatch, 32)
+    assert len(g8) == 1 and g8 == g32, (g8, g32)
+    (m,) = g8
 
-    c8, c32 = kernel_calls(monkeypatch, 8), kernel_calls(monkeypatch, 32)
+    def blocks(nodes):
+        return -(-nodes // max(1, la.ROW_BLOCK_BYTES // (16 * m)))
+
     assert c8["divide_on_circle"] == 4  # one per RK4 stage
     assert c8["grid_eval"] > 0
     for name in KERNEL:
         per_block = name not in ("divide_on_circle", "log_on_circle")
         want = c8[name] * blocks(32) // blocks(8) if per_block else c8[name]
         assert c32[name] == want, (name, c8, c32)
+
+
+# -- negative powers: the half grid first, the cap band on refusal --------
+# On lam = z, lbar = c/z the coefficients of 1/w and log(w/z) fall like
+# c^k at degree -2k (-1-2k): c = 0.3 fits the half grid's band [-59, 59],
+# c = 0.5 needs the cap band [-120, 120], and c = 0.7 fits neither.
+
+
+def two_term_loop(c: float, nodes: int = 8) -> hi.LoopPoint:
+    return hi.LoopPoint(hi.LoopField(1, np.ones((1, nodes))),
+                        hi.LoopField(-1, np.full((1, nodes), c, dtype=complex)))
+
+
+def circle_bands(monkeypatch) -> list:
+    """The bands of every certified divide and log, in call order."""
+    bands = []
+    for name in ("divide_on_circle", "log_on_circle"):
+        def recorded(*args, _fn=getattr(la, name), **kwargs):
+            bands.append(tuple(args[-2:]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(la, name, recorded)
+    return bands
+
+
+def test_negative_powers_certify_on_the_half_grid(monkeypatch):
+    L = two_term_loop(0.3)
+    bands = circle_bands(monkeypatch)
+    hi.w_power_field(L, -1)
+    assert bands == [(-60, 58)]
+    assert la.default_grid_size(58 + 60) == 512
+    bands.clear()
+    hi.log_w_field(L)
+    assert bands == [(-59, 59)]
+
+
+def test_negative_powers_widen_to_the_cap_on_refusal(monkeypatch):
+    c = 0.5
+    L = two_term_loop(c)
+    bands = circle_bands(monkeypatch)
+    inv, log = hi.w_power_field(L, -1), hi.log_w_field(L)
+    assert bands == [(-60, 58), (-121, 119), (-59, 59), (-120, 120)]
+    assert inv.coeffs.shape == log.coeffs.shape == (241, 8)
+    monkeypatch.undo()
+    pt = mf.Point(LS(1, [1.0]), LS(-1, [c]))
+    ref_inv, ref_log = pt.w_pow(-1), la.log_on_circle(pt.w.shift(-1), -120, 120)
+    for got, ref in [(inv, ref_inv), (log, ref_log)]:
+        want = ref.window(got.lo, got.hi)
+        for k in range(L.nodes):
+            assert np.max(np.abs(got.coeffs[:, k] - want)) <= 1e-13 * ref.max_abs()
+
+
+def test_negative_powers_refuse_at_the_cap_and_name_it():
+    L = two_term_loop(0.7)
+    with pytest.raises(la.TruncationLoss, match=r"\[-121,119\]"):
+        hi.w_power_field(L, -1)
+    with pytest.raises(la.TruncationLoss, match=r"\[-120,120\]"):
+        hi.log_w_field(L)
+
+
+def test_half_grid_refuses_the_first_steps_the_cap_refuses(monkeypatch):
+    pool = [hi.sample_loop(seed, nodes=32) for seed in range(12)]
+
+    def refused(flow) -> set:
+        out = set()
+        for i, L in enumerate(pool):
+            try:
+                hi.rk4_step(L, flow, 1e-3)
+            except ArithmeticError as exc:
+                out.add((i, type(exc).__name__))
+        return out
+
+    flows = [("t", -1), ("t", -2)]
+    half = [refused(flow) for flow in flows]
+    monkeypatch.setattr(la, "first_certified", lambda op, bands: op(bands[-1]))
+    cap = [refused(flow) for flow in flows]
+    assert half == cap
+    # the pool holds steps of both kinds, so the comparison means something
+    assert 0 < len(half[1]) < len(pool), half
 
 
 def test_serialization_roundtrip():
@@ -485,7 +572,9 @@ LOOPS = {K_: hi.sample_loop(11, nodes=K_) for K_ in (32, 128)}
 
 
 def t_minus_2_generator(L: hi.LoopPoint) -> hi.LoopField:
-    return hi.w_power_field(L, -1).project("leq", -1)
+    # the cap band of Point.w_pow (241 rows), not the half grid's 119
+    q = hi._node_points(L).w_pow(-1)
+    return hi.LoopField(q.lo, q.c.T).trim().project("leq", -1)
 
 
 @pytest.mark.parametrize("nodes", [32, 128])
@@ -550,6 +639,40 @@ def test_kernel_dealiases_once_per_bracket_and_power(monkeypatch):
             calls.clear()
             hi.hamiltonian(L3, n, bar)
             assert calls["_dealias"] == n - 1, (n, bar)
+
+
+def reference_rhs(L: hi.LoopPoint, flow):
+    """flow_rhs as separate brackets, each differentiating its operands."""
+    kind, n = flow
+    if kind in ("s", "sbar"):
+        f = L.lam if kind == "s" else L.lbar
+        gen = hi._field_power(f, n).project(*(("geq", 0) if kind == "s" else ("leq", -1)))
+        return hi.pb(gen, L.lam), hi.pb(gen, L.lbar)
+    if n == -1:
+        g = hi.log_w_field(L)
+        return (hi.pb(g.project("leq", -1), L.lam) + L.lam.x_deriv(),
+                hi.pb(g.project("geq", 0), L.lbar).scale(-1.0))
+    wp, c = hi.w_power_field(L, n + 1), 1.0 / (n + 1)
+    return (hi.pb(wp.project("leq", -1), L.lam).scale(c),
+            hi.pb(wp.project("geq", 0), L.lbar).scale(-c))
+
+
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_shared_derivatives_are_bit_equal_to_separate_brackets(nodes):
+    L = LOOPS[nodes]
+    flows = [("s", 1), ("s", 2), ("sbar", 1), ("sbar", 2), ("t", 0), ("t", 1), ("t", -1), ("t", -2)]
+    for flow in flows:
+        for got, ref in zip(hi.flow_rhs(L, flow), reference_rhs(L, flow)):
+            assert got.lo == ref.lo and np.array_equal(got.coeffs, ref.coeffs), flow
+
+
+def test_flow_rhs_takes_each_x_derivative_once(monkeypatch):
+    # the generator, lam and lbar: one FFT pair each
+    calls = counted(monkeypatch, hi, "_x_deriv_values")
+    for flow in [("s", 2), ("sbar", 1), ("t", 1), ("t", -2)]:
+        calls.clear()
+        hi.flow_rhs(L3, flow)
+        assert calls["_x_deriv_values"] == 3, flow
 
 
 def test_integrate_computes_one_tail_report_per_step(monkeypatch):

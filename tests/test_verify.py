@@ -80,3 +80,10 @@ def test_a_suite_that_tested_no_points_fails():
     res = vf.run_suite("intersection", 42, samples=0)
     assert res.points_tested == 0 and res.max_residual == 0.0
     assert not res.passed
+
+
+def test_potential_fd_widens_the_chart_at_seed_32():
+    # the w spectrum tail at seed 32 is 1.57e-12 on [-100, 100]: the
+    # chart rebuild widens to [-140, 140] instead of refusing
+    result = vf.run_suite("potential-fd", 32)
+    assert result.points_tested == 3 and result.passed, result.line()
