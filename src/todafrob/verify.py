@@ -197,6 +197,14 @@ def _theta(k: int) -> float:
     return 1.0 if k >= 0 else -1.0
 
 
+def _lowered_mul(pt: mf.Point, ox: mf.Cotangent, oy: mf.Cotangent) -> mf.Tangent:
+    """mf.tan_mul on frames already lowered by mf.eta_inverse.
+
+    A table lowers each of its frames once per point and forms every
+    product from the lowered frames, with tan_mul's own arithmetic."""
+    return mf.eta_apply(pt, mf.cot_mul(pt, ox, oy))
+
+
 def _locus_table(u: float, v: float, kmax: int, acc: _Acc) -> None:
     """Structure constants of the two-parameter locus against tan_mul."""
     pt = mf.locus_point(u, v)
@@ -204,6 +212,8 @@ def _locus_table(u: float, v: float, kmax: int, acc: _Acc) -> None:
     span = range(-2 * kmax - 1, 2 * kmax + 2)
     frame = {m: fc.flat_frame(pt, m).scale(-1.0) for m in span}
     du_f, dv_f = mf.frame_u(pt), mf.frame_v()
+    low = {m: mf.eta_inverse(pt, frame[m]) for m in range(-kmax, kmax + 1)}
+    low_u = mf.eta_inverse(pt, du_f)
     for i in range(-kmax, kmax + 1):
         for j in range(-kmax, kmax + 1):
             c = 0.5 * (_theta(i) + _theta(j) + _theta(-i - j - 2) + 1.0)
@@ -212,12 +222,12 @@ def _locus_table(u: float, v: float, kmax: int, acc: _Acc) -> None:
                 rhs = rhs + du_f
             if i + j == 0:
                 rhs = rhs + dv_f.scale(eu)
-            acc.add(mf.tan_mul(pt, frame[i], frame[j]).dist(rhs))
+            acc.add(_lowered_mul(pt, low[i], low[j]).dist(rhs))
         rhs = frame[i - 1].scale(eu)
         if i == 0:
             rhs = rhs + dv_f.scale(eu)
-        acc.add(mf.tan_mul(pt, du_f, frame[i]).dist(rhs))
-    acc.add(mf.tan_mul(pt, du_f, du_f).dist(frame[-1].scale(eu)))
+        acc.add(_lowered_mul(pt, low_u, low[i]).dist(rhs))
+    acc.add(_lowered_mul(pt, low_u, low_u).dist(frame[-1].scale(eu)))
 
 
 def _reduced_table(kmax: int, acc: _Acc, v: float = -0.2) -> None:
@@ -232,16 +242,21 @@ def _reduced_table(kmax: int, acc: _Acc, v: float = -0.2) -> None:
     pts = [mf.locus_point(-3.0, v), mf.locus_point(-3.0 + np.log(2.0), v)]
     span = range(-2 * kmax - 1, 2 * kmax + 2)
     frame = {m: fc.flat_frame(pts[0], m).scale(-1.0) for m in span}
+    low = [
+        {m: mf.eta_inverse(pt, frame[m]) for m in range(-kmax, kmax + 1)}
+        for pt in pts
+    ]
 
-    def pr_mul(pt: mf.Point, i: int, j: int) -> mf.Tangent:
-        t = mf.tan_mul(pt, frame[i], frame[j])
+    def pr_mul(k: int, i: int, j: int) -> mf.Tangent:
+        pt = pts[k]
+        t = _lowered_mul(pt, low[k][i], low[k][j])
         t = t - mf.frame_u(pt).scale(mf.pair(mf.diff_u(pt), t))
         return t - mf.frame_v().scale(mf.pair(mf.diff_v(), t))
 
     for i in range(-kmax, kmax + 1):
         for j in range(-kmax, kmax + 1):
             c = 0.5 * (_theta(i) + _theta(j) + _theta(-i - j - 2) + 1.0)
-            red = pr_mul(pts[0], i, j).scale(2.0) - pr_mul(pts[1], i, j)
+            red = pr_mul(0, i, j).scale(2.0) - pr_mul(1, i, j)
             acc.add(red.dist(frame[i + j + 1].scale(c)))
             want = 1.0 if i + j == -1 else 0.0
             acc.add(mf.metric_tangent(pts[0], frame[i], frame[j]) - want)
@@ -403,25 +418,63 @@ def suite_poisson(
     return acc
 
 
+# RK4 step sizes the hierarchy suite tries, coarsest first; each is a
+# whole number of steps in the suite's T = 0.1.
+HIERARCHY_STEPS = (2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3)
+
+
 def suite_hierarchy(
     seed: int = 42,
     *,
     nodes: int = 32,
     band: int = 16,
     T: float = 0.1,
-    h: float = 1e-3,
 ) -> _Acc:
-    """Bihamiltonian recursion plus conservation along the first flows."""
+    """Bihamiltonian recursion plus conservation along the first flows.
+
+    Each flow is integrated to T with the steps of HIERARCHY_STEPS in
+    turn.  After each step halving, est = |L_h(T) - L_2h(T)| / 15 is the
+    step-doubling (Richardson) estimate of the finer run's error at T for
+    a fourth-order method.  The finer run is accepted once est falls
+    below the gate SUITES["hierarchy"].tol / 100, and the drift of H1,
+    Hbar1 and H2 along its ledger is the residual; on descent it becomes
+    the next coarse run, so no step size is integrated twice.  A flow
+    that no step on the ladder brings below the gate makes the residual
+    NaN, so the suite fails.  One note gives each flow's step and
+    estimate.
+    """
     L = hi.sample_loop(seed + 800, nodes=nodes, band=band)
     acc = _Acc()
     for nn in (1, 2):
         for bar in (False, True):
             acc.add(hi.recursion_residual(L, nn, bar=bar))
+    gate = SUITES["hierarchy"].tol / 100
+
+    def run(flow, h):
+        snaps, ledger = hi.integrate(L, flow, T, h, record_every=max(1, round(T / h)))
+        return snaps[-1][1], ledger
+
+    picked = []
     for flow in (("s", 1), ("sbar", 1), ("t", 0)):
-        _, ledger = hi.integrate(L, flow, T, h, record_every=max(1, round(T / h)))
+        name = f"{flow[0]}{flow[1]}"
+        coarse, _ = run(flow, HIERARCHY_STEPS[0])
+        for h in HIERARCHY_STEPS[1:]:
+            fine, ledger = run(flow, h)
+            est = _loop_dist(coarse, fine) / 15.0
+            if est < gate:
+                break
+            coarse = fine
+        else:
+            acc.add(float("nan"))
+            picked.append(f"{name} no step meets the gate, est {est:.1e} at h={h:g}")
+            continue
+        picked.append(f"{name} h={h:g} est {est:.1e}")
         for key in ("H1", "Hbar1", "H2"):
             vals = np.array([row[key] for row in ledger])
             acc.add(np.max(np.abs(vals - vals[0])))
+    acc.notes.append(
+        f"steps by Richardson estimate, gate {gate:.1e}: " + "; ".join(picked)
+    )
     return acc
 
 

@@ -61,7 +61,7 @@ def test_criterion_07_chart_roundtrips():
 def test_criterion_08_hierarchy():
     _emit(8, "hierarchy: pencil, recursion, conservation, commutators", [
         vf.run_suite("poisson", 42),
-        vf.run_suite("hierarchy", 42, T=0.1, h=1e-3),
+        vf.run_suite("hierarchy", 42, T=0.1),
         vf.run_suite("commutators", 42),
     ])
 
