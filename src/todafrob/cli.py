@@ -427,12 +427,10 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     if flags.get("h", 0.0) > flags.get("T", math.inf):
         raise ConfigError(f"h must not exceed T, got h={flags['h']!r}, T={flags['T']!r}")
     if "h" in flags and "T" in flags:
-        # integrate takes round(T / h) steps; the tolerance absorbs the
-        # rounding of the quotient, as in 0.07 / 0.01 = 7.000000000000001
-        steps = flags["T"] / flags["h"]
-        if not math.isclose(steps, round(steps), rel_tol=1e-9):
-            raise ConfigError(f"T must be a whole number of steps h, got "
-                              f"T={flags['T']!r}, h={flags['h']!r} (T/h = {steps!r})")
+        try:
+            hi.step_count(flags["T"], flags["h"])
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
     if flags.get("parallel"):
         cfg.parallel = True
     if flags.get("suites"):

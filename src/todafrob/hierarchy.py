@@ -11,16 +11,20 @@ their generator.  A Hamiltonian density needs only the x-mean of the z^0
 row of a power, which dealiasing never changes, so it is a one-row
 contraction of the next lower power with the field.
 
-The negative primary flows and the Casimir H_-1 need certified circle
-operations at every node.  Each runs first on the widest band that half
-the pointwise grid holds (119 coefficients on 512 points, against 241
-on 1024), and on the pointwise band Point.inv_halfband only when that
-refuses, so whatever certifies on the pointwise band still certifies.
+The negative primary flows need a certified circle operation at every
+node.  Each walks a ladder of power-of-two grids: first the smallest
+grid that holds the loop's retained z band, then twice that, and so on, on
+the widest band each grid holds, up to the pointwise band
+Point.inv_halfband.  For a band-16 loop that is 55, 119 and 241
+coefficients on 256, 512 and 1024 points.  A rung that refuses hands the
+op to the next, so whatever certifies on the pointwise band still
+certifies.  The Casimir H_-1 takes its quadrature on the first rung.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -441,36 +445,49 @@ def _field_power(f: LoopField, n: int) -> LoopField:
     return out
 
 
-def _halfbands(pt: mf.Point) -> tuple[int, int]:
-    """The half bands a loop's circle op tries: the widest whose band of
-    width 2h runs on half the grid of pt.inv_halfband's, then that one."""
+def _first_grid(L: LoopPoint) -> int:
+    """The smallest grid that holds the loop's retained z band."""
+    return la.default_grid_size(2 * max(-L.lam.lo, L.lbar.hi, 2))
+
+
+def _halfbands(L: LoopPoint, pt: mf.Point) -> tuple[int, ...]:
+    """The half bands a circle op on L tries, narrowest first: on each
+    power-of-two grid from _first_grid(L) up to half the grid of
+    pt.inv_halfband, the widest half band h whose band of width 2h runs
+    on it; then pt.inv_halfband itself."""
     cap = pt.inv_halfband
-    m = la.default_grid_size(2 * cap) // 2
-    h = cap
-    while la.default_grid_size(2 * h) > m:
-        h -= 1
-    return h, cap
+    top = la.default_grid_size(2 * cap)
+    bands = []
+    m = _first_grid(L)
+    while m < top:
+        # default_grid_size(2h) exceeds 8h, so no h >= m / 8 fits
+        h = m // 8
+        while la.default_grid_size(2 * h) > m:
+            h -= 1
+        bands.append(h)
+        m *= 2
+    return (*bands, cap)
 
 
 def w_power_field(L: LoopPoint, n: int) -> LoopField:
     """w ** n as a loop field; negative powers by certified division,
-    every node in one stacked call.  The division runs on the half grid
-    first and on the band of Point.w_pow only if that refuses."""
+    every node in one stacked call.  The division walks the grid ladder of
+    _halfbands and ends on the band of Point.w_pow."""
     if n >= 0:
         return _field_power(L.w, n)
     pt = _node_points(L)
     den = pt.w**-n
     q = la.first_certified(
-        lambda h: la.divide_on_circle(LS.one(), den, -h + n, h + n), _halfbands(pt))
+        lambda h: la.divide_on_circle(LS.one(), den, -h + n, h + n), _halfbands(L, pt))
     return LoopField(q.lo, q.c.T).trim()
 
 
 def log_w_field(L: LoopPoint) -> LoopField:
-    """log(w/z) nodewise, certified winding-zero on every node; on the
-    half grid first, on the band pt.inv_halfband only if that refuses."""
+    """log(w/z) nodewise, certified winding-zero on every node; walks
+    the grid ladder of _halfbands up to the band pt.inv_halfband."""
     pt = _node_points(L)
     f = pt.w.shift(-1)
-    g = la.first_certified(lambda h: la.log_on_circle(f, -h, h), _halfbands(pt))
+    g = la.first_certified(lambda h: la.log_on_circle(f, -h, h), _halfbands(L, pt))
     return LoopField(g.lo, g.c.T).trim()
 
 
@@ -525,13 +542,13 @@ def primary_rhs(L: LoopPoint, flow) -> LoopTangent:
 def hamiltonian(L: LoopPoint, n: int, bar: bool = False) -> complex:
     """H_n = -(x-average of) [lambda ** (n+1)]_0 / (n+1); the n = -1
     members are the Casimir densities written in flat coordinates, t_-1
-    taken by quadrature on the half grid of the negative flows."""
+    taken by quadrature on the first rung of the negative flows' grid
+    ladder, _first_grid(L)."""
     if n == -1:
         if bar:
             return complex(np.mean(L.lbar.row(0)))
         pt = _node_points(L)
-        m = la.default_grid_size(2 * _halfbands(pt)[0])
-        t = fc.flat_coordinates(pt, -1, -1, grid_size=m)[-1]
+        t = fc.flat_coordinates(pt, -1, -1, grid_size=_first_grid(L))[-1]
         return complex(-np.mean(t + L.lbar.row(0)))
     f = L.lbar if bar else L.lam
     # row 0 of f ** n * f before dealiasing: its x-mean is the same
@@ -667,10 +684,23 @@ def rk4_step(L: LoopPoint, flow, h: float) -> LoopPoint:
     return out
 
 
+def step_count(T: float, h: float) -> int:
+    """The number of steps h that reach T, refused with ValueError unless
+    it is a whole number, at least one.  The tolerance absorbs the
+    rounding of the quotient, as in 0.07 / 0.01 = 7.000000000000001."""
+    steps = T / h
+    n = round(steps)
+    if n < 1 or not math.isclose(steps, n, rel_tol=1e-9):
+        raise ValueError(f"T must be a whole number of steps h, got "
+                         f"T={T!r}, h={h!r} (T/h = {steps!r})")
+    return n
+
+
 def integrate(L: LoopPoint, flow, T: float, h: float, record_every: int = 10):
-    """March with classical RK4; returns (snapshots, ledger) where the
-    ledger rows carry the conserved quantities and tail diagnostics."""
-    steps = int(round(T / h))
+    """March with classical RK4 to T in step_count(T, h) steps; returns
+    (snapshots, ledger) where the ledger rows carry the conserved
+    quantities and tail diagnostics."""
+    steps = step_count(T, h)
     snapshots = [(0.0, L)]
     ledger = []
 

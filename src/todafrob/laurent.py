@@ -219,10 +219,13 @@ class LaurentSeries:
         out = np.zeros(self.c.shape[:-1] + z.shape, dtype=complex)
         if self.is_zero:
             return out
-        # Horner on the polynomial part, then shift by z**lo.
+        # Horner on the polynomial part in place, then shift by z**lo; one
+        # value stays a NumPy scalar, so it keeps scalar arithmetic
         cols = self.c.T if self.c.ndim == 1 else self.c.T[(...,) + (None,) * z.ndim]
+        out = out[()]
         for ck in cols[::-1]:
-            out = out * z + ck
+            out *= z
+            out += ck
         return out * z**self.lo
 
 

@@ -439,15 +439,20 @@ def test_kernel_calls_do_not_grow_with_the_node_count(monkeypatch):
         assert c32[name] == want, (name, c8, c32)
 
 
-# -- negative powers: the half grid first, the cap band on refusal --------
+# -- negative powers: a grid ladder, the cap band last -------------------
 # On lam = z, lbar = c/z the coefficients of 1/w and log(w/z) fall like
-# c^k at degree -2k (-1-2k): c = 0.3 fits the half grid's band [-59, 59],
-# c = 0.5 needs the cap band [-120, 120], and c = 0.7 fits neither.
+# c^k at degree -2k (-1-2k).  Padded to band 16, the loop's ladder runs
+# on 256, 512 and 1024 points with half bands 27, 59 and 120: c = 0.1
+# fits the first, c = 0.3 the second, c = 0.5 only the cap band, and
+# c = 0.7 none of them.
 
 
-def two_term_loop(c: float, nodes: int = 8) -> hi.LoopPoint:
-    return hi.LoopPoint(hi.LoopField(1, np.ones((1, nodes))),
-                        hi.LoopField(-1, np.full((1, nodes), c, dtype=complex)))
+def two_term_loop(c: float, nodes: int = 8, band: int = 16) -> hi.LoopPoint:
+    lam = np.zeros((band + 2, nodes), dtype=complex)
+    lam[-1] = 1.0
+    lbar = np.zeros((band + 2, nodes), dtype=complex)
+    lbar[0] = c
+    return hi.LoopPoint(hi.LoopField(-band, lam), hi.LoopField(-1, lbar))
 
 
 def circle_bands(monkeypatch) -> list:
@@ -462,15 +467,35 @@ def circle_bands(monkeypatch) -> list:
     return bands
 
 
+def ladder(L: hi.LoopPoint) -> tuple:
+    return hi._halfbands(L, hi._node_points(L))
+
+
+def test_the_ladder_runs_from_the_loops_band_to_the_cap():
+    assert ladder(two_term_loop(0.1)) == (27, 59, 120)
+    assert [la.default_grid_size(2 * h) for h in (27, 59, 120)] == [256, 512, 1024]
+    # each rung is the widest band its grid holds
+    assert [la.default_grid_size(2 * h + 2) for h in (27, 59)] == [512, 1024]
+    # a wider retained band starts higher up; a narrow one lower down
+    assert ladder(two_term_loop(0.1, band=30)) == (59, 120)
+    assert ladder(two_term_loop(0.1, band=8)) == (11, 27, 59, 120)
+    assert ladder(two_term_loop(0.1, band=60)) == (120,)
+
+
 def test_negative_powers_certify_on_the_half_grid(monkeypatch):
-    L = two_term_loop(0.3)
+    # c = 0.1 certifies on the first rung, in one call each
     bands = circle_bands(monkeypatch)
-    hi.w_power_field(L, -1)
-    assert bands == [(-60, 58)]
+    inv, log = hi.w_power_field(two_term_loop(0.1), -1), hi.log_w_field(two_term_loop(0.1))
+    assert bands == [(-28, 26), (-27, 27)]
+    assert inv.coeffs.shape == (53, 8) and log.coeffs.shape == (55, 8)
+    # c = 0.3 refuses 256 points and certifies on the half grid, 512
+    bands.clear()
+    hi.w_power_field(two_term_loop(0.3), -1)
+    assert bands == [(-28, 26), (-60, 58)]
     assert la.default_grid_size(58 + 60) == 512
     bands.clear()
-    hi.log_w_field(L)
-    assert bands == [(-59, 59)]
+    hi.log_w_field(two_term_loop(0.3))
+    assert bands == [(-27, 27), (-59, 59)]
 
 
 def test_negative_powers_widen_to_the_cap_on_refusal(monkeypatch):
@@ -478,7 +503,7 @@ def test_negative_powers_widen_to_the_cap_on_refusal(monkeypatch):
     L = two_term_loop(c)
     bands = circle_bands(monkeypatch)
     inv, log = hi.w_power_field(L, -1), hi.log_w_field(L)
-    assert bands == [(-60, 58), (-121, 119), (-59, 59), (-120, 120)]
+    assert bands == [(-28, 26), (-60, 58), (-121, 119), (-27, 27), (-59, 59), (-120, 120)]
     assert inv.coeffs.shape == log.coeffs.shape == (241, 8)
     monkeypatch.undo()
     pt = mf.Point(LS(1, [1.0]), LS(-1, [c]))
@@ -498,7 +523,10 @@ def test_negative_powers_refuse_at_the_cap_and_name_it():
 
 
 def test_half_grid_refuses_the_first_steps_the_cap_refuses(monkeypatch):
+    # the whole ladder, the ladder from the half grid on, and the cap
+    # band alone refuse exactly the same first steps
     pool = [hi.sample_loop(seed, nodes=32) for seed in range(12)]
+    assert ladder(pool[0]) == (27, 59, 120)
 
     def refused(flow) -> set:
         out = set()
@@ -510,12 +538,14 @@ def test_half_grid_refuses_the_first_steps_the_cap_refuses(monkeypatch):
         return out
 
     flows = [("t", -1), ("t", -2)]
-    half = [refused(flow) for flow in flows]
-    monkeypatch.setattr(la, "first_certified", lambda op, bands: op(bands[-1]))
-    cap = [refused(flow) for flow in flows]
-    assert half == cap
+    refusals = [refused(flow) for flow in flows]
+    first_certified = la.first_certified
+    for start in (1, 2):
+        monkeypatch.setattr(la, "first_certified",
+                            lambda op, bands, k=start: first_certified(op, bands[k:]))
+        assert [refused(flow) for flow in flows] == refusals, start
     # the pool holds steps of both kinds, so the comparison means something
-    assert 0 < len(half[1]) < len(pool), half
+    assert 0 < len(refusals[1]) < len(pool), refusals
 
 
 def test_serialization_roundtrip():
@@ -673,6 +703,20 @@ def test_flow_rhs_takes_each_x_derivative_once(monkeypatch):
         calls.clear()
         hi.flow_rhs(L3, flow)
         assert calls["_x_deriv_values"] == 3, flow
+
+
+def test_integrate_refuses_a_T_short_of_whole_steps():
+    # 0.1 / 0.04 = 2.5 would stop at 0.08; 0.01 / 0.04 would take no step
+    for T, h in [(0.1, 0.04), (0.01, 0.04), (0.0, 1e-3)]:
+        with pytest.raises(ValueError, match=r"whole number of steps h"):
+            hi.integrate(L3, ("s", 1), T, h)
+    # the quotient's rounding is absorbed; the suite's ladder and the
+    # loop-lax march (0.08 in steps of 1e-3) are whole
+    assert hi.step_count(0.07, 0.01) == 7
+    assert hi.step_count(0.08, 1e-3) == 80
+    assert [hi.step_count(0.1, h) for h in vf.HIERARCHY_STEPS] == [5, 10, 20, 40, 80]
+    _, ledger = hi.integrate(L3, "v", 0.07, 0.01)
+    assert len(ledger) == 8 and ledger[-1]["time"] == pytest.approx(0.07, abs=1e-15)
 
 
 def test_integrate_computes_one_tail_report_per_step(monkeypatch):

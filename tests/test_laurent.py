@@ -101,6 +101,27 @@ def test_grid_eval_matches_pointwise_evaluation():
     assert np.max(np.abs(la.grid_eval(f, m) - direct)) < 1e-12
 
 
+def allocating_evaluate(f: LS, z) -> np.ndarray:
+    """Horner with a fresh array per step: the loop evaluate replaced."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(f.c.shape[:-1] + z.shape, dtype=complex)
+    cols = f.c.T if f.c.ndim == 1 else f.c.T[(...,) + (None,) * z.ndim]
+    for ck in cols[::-1]:
+        out = out * z + ck
+    return out * z**f.lo
+
+
+def test_in_place_horner_is_bit_equal_to_the_allocating_loop():
+    rng = np.random.default_rng(12)
+    f = random_series(rng, -6, 9)
+    stack = LS(-5, rng.standard_normal((7, 18)) + 1j * rng.standard_normal((7, 18)))
+    zs = la.unit_roots(64) * 1.1
+    for series, z in [(f, zs), (stack, zs), (f, 0.7 - 0.4j), (stack, 0.7 - 0.4j)]:
+        got, want = series.evaluate(z), allocating_evaluate(series, z)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_aliasing_detected_by_roundtrip():
     # z^5 on 4 nodes aliases onto degree 1: recovery on [-1, 1] returns z
     f = LS.monomial(5)
