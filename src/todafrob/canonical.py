@@ -61,13 +61,25 @@ def canonical_data(pt: Point, m: int | None = None) -> CanonicalData:
     )
 
 
+def _du(lp, bp, a, ab):
+    """<du(p), x> = (lam'(p) ab(p) - lbar'(p) a(p)) / w'(p) from the
+    values of lam', lbar' and of the slots a, ab of x at the same p."""
+    return (lp * ab - bp * a) / (lp + bp)
+
+
 def du_pair(pt: Point, p, x: Tangent):
-    """<du(p), x> = (lam'(p) ab(p) - lbar'(p) a(p)) / w'(p); a row of
-    values per point for a stacked point and tangent."""
+    """<du(p), x> at arbitrary points p, by Horner's rule; a row of values
+    per point for a stacked point and tangent."""
     p = np.asarray(p, dtype=complex)
     lp, bp = pt.lam_p.evaluate(p), pt.lbar_p.evaluate(p)
-    a, ab = x.a.evaluate(p), x.ab.evaluate(p)
-    return (lp * ab - bp * a) / (lp + bp)
+    return _du(lp, bp, x.a.evaluate(p), x.ab.evaluate(p))
+
+
+def du_grid(pt: Point, m: int, x: Tangent):
+    """du_pair at the m-th roots of unity, la.unit_roots(m), by inverse
+    FFT; lam' and lbar' come from pt.derivatives_on_grid(m)."""
+    lp, bp = pt.derivatives_on_grid(m)
+    return _du(lp, bp, la.grid_eval(x.a, m), la.grid_eval(x.ab, m))
 
 
 def mu_pair(pt: Point, p, x: Tangent):
@@ -114,31 +126,31 @@ def metric_diagonality_residual(pt: Point, x: Tangent, y: Tangent, m: int = 512)
 
 
 def char_velocities(pt: Point, flow, m: int | None = None) -> np.ndarray:
-    """Characteristic velocities on the circle grid for one flow.
+    """Characteristic velocities at the m-th roots of unity for one flow,
+    by inverse FFT.
 
-    flow is ("t", i), "u", ("s", n) or ("sbar", n).  The Lax-sector
+    flow is ("t", i), "u", "v", ("s", n) or ("sbar", n).  The Lax-sector
     velocities carry no 1/n: they are z d/dz of the Lax generators
-    (lam^n)_{>=0} and (lbar^n)_{<0}, matching the flows themselves.
-    A stacked point gets a row of velocities per point.
+    (lam^n)_{>=0} and (lbar^n)_{<0}, matching the flows themselves.  A
+    primary velocity is -p <du(p), x> for x = ((w^i w')_{<0},
+    (w^i w')_{>=0}).  A stacked point gets a row of velocities per point.
     """
     m = m or max(pt.quad_m(8), 256)
-    p = la.unit_roots(m)
     if flow == "u":
-        return np.divide.outer(pt.ubarm1, p)
+        return np.divide.outer(pt.ubarm1, la.unit_roots(m))
     if flow == "v":
         return np.ones(m, dtype=complex)
     kind, n = flow
     if kind == "t":
-        lp, bp = pt.lam_p.evaluate(p), pt.lbar_p.evaluate(p)
-        sigma = lp / (lp + bp)
+        lp, bp = pt.derivatives_on_grid(m)
         f = pt.w_pow(n) * pt.w_p
-        plus = f.project("geq", 0).evaluate(p)
-        minus = f.project("leq", -1).evaluate(p)
-        return -p * (sigma * plus + (sigma - 1.0) * minus)
+        minus = la.grid_eval(f.project("leq", -1), m)
+        plus = la.grid_eval(f.project("geq", 0), m)
+        return -la.unit_roots(m) * _du(lp, bp, minus, plus)
     if kind == "s":
         gen = (pt.lam**n).derivative().shift(1).project("geq", 0)
-        return gen.evaluate(p)
+        return la.grid_eval(gen, m)
     if kind == "sbar":
         gen = (pt.lbar**n).derivative().shift(1).project("leq", -1)
-        return gen.evaluate(p)
+        return la.grid_eval(gen, m)
     raise ValueError(f"unknown flow {flow!r}")

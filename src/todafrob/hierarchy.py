@@ -18,7 +18,9 @@ the widest band each grid holds, up to the pointwise band
 Point.inv_halfband.  For a band-16 loop that is 55, 119 and 241
 coefficients on 256, 512 and 1024 points.  A rung that refuses hands the
 op to the next, so whatever certifies on the pointwise band still
-certifies.  The Casimir H_-1 takes its quadrature on the first rung.
+certifies.  The Casimir H_-1 needs none of them: it is the x-mean of
+the z^0 row of lam, in closed form.  The transport diagnostic evaluates
+on its circle grid by inverse FFT.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canonical as ca
-from . import flatcoords as fc
 from . import laurent as la
 from . import manifold as mf
 from . import potential as po
@@ -435,6 +436,8 @@ def _window(f: LoopField, lo: int, hi: int) -> tuple[LoopField, float]:
 
 
 def _field_power(f: LoopField, n: int) -> LoopField:
+    if n < 0:
+        raise ValueError(f"field power needs n >= 0, got {n}")
     if n == 0:
         return LoopField(0, np.ones((1, f.nodes), dtype=complex))
     # power 1 must return f unfiltered, else generators and the point
@@ -539,17 +542,24 @@ def primary_rhs(L: LoopPoint, flow) -> LoopTangent:
 # -- Hamiltonians ------------------------------------------------------
 
 
+def _check_order(n: int) -> None:
+    if n < -1:
+        raise ValueError(f"Hamiltonians run from n = -1, got n = {n}")
+
+
 def hamiltonian(L: LoopPoint, n: int, bar: bool = False) -> complex:
-    """H_n = -(x-average of) [lambda ** (n+1)]_0 / (n+1); the n = -1
-    members are the Casimir densities written in flat coordinates, t_-1
-    taken by quadrature on the first rung of the negative flows' grid
-    ladder, _first_grid(L)."""
+    """H_n = -(x-average of) [lambda ** (n+1)]_0 / (n+1) for n >= 0.
+
+    The n = -1 members are the Casimirs, x-averages of the z^0 row of
+    lbar (bar=True) and of -(t_-1 + v), where
+    t_-1 = (1/2 pi i) contour of log(z/w) w' dz.  log(z/w) is single-valued
+    on the circle, so integrating by parts gives
+    t_-1 = -(1/2 pi i) contour of (w/z - w') dz = -w_0, and the unbarred
+    Casimir is the x-average of -(t_-1 + v) = lam_0, with no quadrature.
+    Orders below -1 raise ValueError."""
+    _check_order(n)
     if n == -1:
-        if bar:
-            return complex(np.mean(L.lbar.row(0)))
-        pt = _node_points(L)
-        t = fc.flat_coordinates(pt, -1, -1, grid_size=_first_grid(L))[-1]
-        return complex(-np.mean(t + L.lbar.row(0)))
+        return complex(np.mean((L.lbar if bar else L.lam).row(0)))
     f = L.lbar if bar else L.lam
     # row 0 of f ** n * f before dealiasing: its x-mean is the same
     row0 = _pair_rows(_field_power(f, n), f.shift(-1))
@@ -558,7 +568,9 @@ def hamiltonian(L: LoopPoint, n: int, bar: bool = False) -> complex:
 
 def gradient(L: LoopPoint, n: int, bar: bool = False) -> LoopCotangent:
     """Variational gradient of hamiltonian(L, n, bar), projected onto
-    the cotangent bands that the pairing can see."""
+    the cotangent bands that the pairing can see; orders below -1 raise
+    ValueError."""
+    _check_order(n)
     nodes = L.nodes
     if n == -1:
         unit = const_field(LS(-1, [1.0]), nodes)
@@ -732,20 +744,22 @@ def integrate(L: LoopPoint, flow, T: float, h: float, record_every: int = 10):
 
 
 def transport_residual(L: LoopPoint, flow, m_p: int = 64, velocity=None) -> float:
-    """Residual of d_t u_sigma = A(sigma) d_x u_sigma for a named flow.
+    """Residual of d_t u_sigma = A(sigma) d_x u_sigma for a named flow,
+    at the m_p-th roots of unity.
 
     Both derivatives are taken at fixed sigma.  The critical-point
     relation sigma*lbar' + (sigma-1)*lam' = 0 kills the dp/dx terms in
     the chain rule, so the fixed-sigma x-derivative is the canonical
     pairing of du(p) with the x-translation field.
 
-    Every node is evaluated at once, on the stacked point of the loop; a
-    callable velocity is called as velocity(pt, m_p) with that point."""
+    Every node is evaluated at once, on the stacked point of the loop,
+    by inverse FFT (ca.du_grid, ca.char_velocities); lam' and lbar' are
+    evaluated once for the pairings and the velocity.  A callable
+    velocity is called as velocity(pt, m_p) with that point."""
     pt = _node_points(L)
-    p = la.unit_roots(m_p)
     t, _ = tangent_part(L, *flow_rhs(L, flow))
     tv, _ = tangent_part(L, *flow_rhs(L, "v"))
-    dt_u, dx_u = (ca.du_pair(pt, p, mf.Tangent(_nodes(x.a), _nodes(x.ab))) for x in (t, tv))
+    dt_u, dx_u = (ca.du_grid(pt, m_p, mf.Tangent(_nodes(x.a), _nodes(x.ab))) for x in (t, tv))
     vflow = velocity if velocity is not None else flow
     vel = vflow(pt, m_p) if callable(vflow) else ca.char_velocities(pt, vflow, m_p)
     return float(np.max(np.abs(dt_u - vel * dx_u)))

@@ -168,6 +168,19 @@ class Point:
     def w_p(self) -> LS:
         return self._get("w_p", lambda: self.w.derivative())
 
+    def derivatives_on_grid(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lam', lbar') at the m-th roots of unity by la.grid_eval,
+        read-only and cached, so the circle-grid diagnostics of one point
+        read them once."""
+
+        def build():
+            vals = la.grid_eval(self.lam_p, m), la.grid_eval(self.lbar_p, m)
+            for v in vals:
+                v.setflags(write=False)
+            return vals
+
+        return self._get(("derivatives_on_grid", m), build)
+
     @property
     def ell(self) -> LS:
         """z + v + e^u / z."""

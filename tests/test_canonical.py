@@ -55,6 +55,81 @@ def test_velocities_are_du_eigenvalues():
     assert np.max(np.abs(a_u - PT.ubarm1 / p)) < 1e-14
 
 
+def stacked_point(seeds, n: int = 10) -> mf.Point:
+    pts = [mf.sample_point(seed, n=n) for seed in seeds]
+
+    def stack(series):
+        lo, hi = min(f.lo for f in series), max(f.hi for f in series)
+        return LS(lo, np.array([f.window(lo, hi) for f in series]))
+
+    return mf.Point(stack([p.lam for p in pts]), stack([p.lbar for p in pts]))
+
+
+def horner_values(f: LS, m: int) -> np.ndarray:
+    return f.evaluate(la.unit_roots(m))
+
+
+def extended_values(f: LS, m: int) -> np.ndarray:
+    """f at the m-th roots of unity by a direct sum in extended precision,
+    each degree reduced mod m before its root is formed."""
+    k = np.arange(m)
+    degs = np.arange(f.lo, f.hi + 1) % m
+    turn = 2.0 * np.arccos(np.longdouble(-1.0)) / m
+    roots = np.exp(1j * turn * (np.outer(degs, k) % m).astype(np.longdouble))
+    return f.c.astype(np.clongdouble) @ roots
+
+
+def reference_velocities(pt: mf.Point, flow, m: int, values) -> np.ndarray:
+    """char_velocities in the sigma form, with values(f, m) giving a
+    series at the m-th roots of unity: a route independent of the grid."""
+    p = values(LS(1, [1.0]), m)
+    if flow == "u":
+        return np.divide.outer(pt.ubarm1, p)
+    if flow == "v":
+        return np.ones(m, dtype=complex)
+    kind, n = flow
+    if kind == "t":
+        lp, bp = values(pt.lam_p, m), values(pt.lbar_p, m)
+        sigma = lp / (lp + bp)
+        f = pt.w_pow(n) * pt.w_p
+        plus, minus = values(f.project("geq", 0), m), values(f.project("leq", -1), m)
+        return -p * (sigma * plus + (sigma - 1.0) * minus)
+    f, part = (pt.lam, ("geq", 0)) if kind == "s" else (pt.lbar, ("leq", -1))
+    return values((f**n).derivative().shift(1).project(*part), m)
+
+
+VELOCITY_FLOWS = [("t", n) for n in range(-2, 3)] + [
+    ("s", 1), ("s", 2), ("sbar", 1), ("sbar", 2), "u", "v"]
+
+
+def velocity_gap(pt: mf.Point, flow, m: int, values) -> float:
+    got, ref = ca.char_velocities(pt, flow, m), reference_velocities(pt, flow, m, values)
+    assert np.shape(got) == np.shape(ref), (flow, m)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def test_grid_velocities_match_the_series_at_the_roots():
+    for pt in (PT, stacked_point(range(4))):
+        for m in (64, 256):
+            for flow in VELOCITY_FLOWS:
+                assert velocity_gap(pt, flow, m, extended_values) <= 1e-14, (flow, m)
+                # Horner multiplies the top coefficient by z once per degree,
+                # so on the 130-150 negative degrees of w^n w' (n < 0) it
+                # carries about 5e-14 of rounding of its own
+                long_tail = flow in (("t", -1), ("t", -2))
+                tol = 1e-13 if long_tail else 1e-14
+                assert velocity_gap(pt, flow, m, horner_values) <= tol, (flow, m)
+
+
+def test_du_grid_matches_du_pair_at_the_roots():
+    x = mf.sample_tangent(5)
+    for pt in (PT, stacked_point(range(4))):
+        for m in (64, 256):
+            ref = ca.du_pair(pt, la.unit_roots(m), x)
+            got = ca.du_grid(pt, m, x)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), m
+
+
 def test_velocity_at_locus():
     q = mf.locus_point(0.3, -0.1)
     data = ca.canonical_data(q, 128)

@@ -215,6 +215,16 @@ def test_chart_moments_match_per_n_powers():
         assert abs(t[n] - la.contour_mean(base * wv ** (-n - 1))) < 1e-14, n
 
 
+def test_t_minus_1_is_minus_w0():
+    # integrating log(z/w) w' by parts leaves -(1/2 pi i) contour of w/z dz
+    for seed, c in [(11, 0.1 + 0.05j), (3, -0.2), (7, 0.3j)]:
+        pt = mf.sample_point(seed)
+        pt = mf.Point(pt.lam + LS(0, [c]), pt.lbar)
+        w0 = pt.lam.coeff(0) + pt.lbar.coeff(0)
+        assert abs(w0) > 0.1
+        assert abs(fc.flat_coordinates(pt, -1, -1)[-1] + w0) <= 1e-14 * abs(w0), seed
+
+
 def test_stacked_chart_is_bit_equal_to_pointwise():
     pts = [mf.sample_point(seed, n=10) for seed in range(8)]
 

@@ -384,6 +384,35 @@ def test_stacked_circle_ops_match_the_per_node_reference():
     assert abs(hi.hamiltonian(L3, -1) - H) <= 1e-13 * np.max(np.abs(t))
 
 
+def shifted_loop(L: hi.LoopPoint, c: complex = 0.1 + 0.05j) -> hi.LoopPoint:
+    """L with c added to the z^0 row of lam: sampled loops have
+    mean(lam_0) near 1e-17, which a zero H_-1 would match."""
+    rows = L.lam.coeffs.copy()
+    rows[-L.lam.lo] += c
+    return hi.LoopPoint(hi.LoopField(L.lam.lo, rows), L.lbar)
+
+
+def test_closed_form_casimir_matches_the_quadrature_off_zero():
+    L = shifted_loop(L3)
+    t = np.array([fc.flat_coordinates(pt, -1, -1)[-1] for pt in node_points(L)])
+    ref = complex(-np.mean(t + L.lbar.row(0)))
+    assert abs(ref - (0.1 + 0.05j)) < 1e-3
+    assert abs(hi.hamiltonian(L, -1) - ref) <= 1e-13 * abs(ref)
+
+
+def test_orders_below_minus_one_are_refused():
+    L = hi.sample_loop(3, nodes=16)
+    for bar in (False, True):
+        for call in (hi.hamiltonian, hi.gradient):
+            with pytest.raises(ValueError, match="n = -2"):
+                call(L, -2, bar)
+    with pytest.raises(ValueError):
+        hi._field_power(L.lam, -1)
+    # the Lax flows build their generators through the same power
+    with pytest.raises(ValueError):
+        hi.flow_rhs(L, ("s", -1))
+
+
 def test_stacked_transport_matches_the_per_node_reference():
     # the residual is a small difference of O(scale) terms: compare on their scale
     for flow in [("t", 0), "u", ("s", 2)]:
@@ -437,6 +466,27 @@ def test_kernel_calls_do_not_grow_with_the_node_count(monkeypatch):
         per_block = name not in ("divide_on_circle", "log_on_circle")
         want = c8[name] * blocks(32) // blocks(8) if per_block else c8[name]
         assert c32[name] == want, (name, c8, c32)
+
+
+def test_loop_diagnostics_skip_quadrature_and_horner(monkeypatch):
+    L = shifted_loop(L3)
+    quad = counted(monkeypatch, fc, "flat_coordinates")
+    grid = counted(monkeypatch, la, "grid_eval")
+    horner = counted(monkeypatch, la.LaurentSeries, "evaluate")
+    assert hi.hamiltonian(L, -1) == complex(np.mean(L.lam.row(0)))
+    assert quad["flat_coordinates"] == 0 and grid["grid_eval"] == 0
+    # ("t", 0): lam' and lbar' once, two slots for each of the two
+    # pairings, and the two halves of the velocity's generator
+    hi.transport_residual(L, ("t", 0))
+    assert grid["grid_eval"] == 2 + 2 * 2 + 2
+    for flow in [("t", -1), "u", "v", ("s", 2), ("sbar", 1)]:
+        hi.transport_residual(L, flow)
+
+    def printed(pt, m):
+        return ca.char_velocities(pt, ("s", 2), m) / 2.0
+
+    hi.transport_residual(L, ("s", 2), velocity=printed)
+    assert horner["evaluate"] == 0
 
 
 # -- negative powers: a grid ladder, the cap band last -------------------
