@@ -106,11 +106,11 @@ def reconstruct_tangent(pt: Point, mu_values: np.ndarray) -> Tangent:
 
 
 def semisimplicity_residual(pt: Point, x: Tangent, y: Tangent, m: int = 256) -> float:
-    """max_p |<du(p), x . y> - <du(p), x><du(p), y>|."""
-    p = la.unit_roots(m)
-    cx = du_pair(pt, p, x)
-    cy = du_pair(pt, p, y)
-    cxy = du_pair(pt, p, tan_mul(pt, x, y))
+    """max_p |<du(p), x . y> - <du(p), x><du(p), y>| over the m-th roots
+    of unity, by du_grid: lam' and lbar' are evaluated there once."""
+    cx = du_grid(pt, m, x)
+    cy = du_grid(pt, m, y)
+    cxy = du_grid(pt, m, tan_mul(pt, x, y))
     return float(np.max(np.abs(cxy - cx * cy)))
 
 

@@ -9,7 +9,12 @@ is linear, so the bracket dealiases the difference of its two raw
 products once, and a flow's two brackets share the x-derivative of
 their generator.  A Hamiltonian density needs only the x-mean of the z^0
 row of a power, which dealiasing never changes, so it is a one-row
-contraction of the next lower power with the field.
+contraction of the next lower power with the field.  That contraction,
+the gradients and the s_n / sbar_n generators keep only some degrees of a
+power, so they multiply only the rows of lam or lbar that reach them (H2
+uses lam's rows -2..1), bit for bit the full power's rows.  An RK4 step
+sums its stages on zero-padded arrays of the loop's fixed tangent
+windows, with the additions of the LoopField sums it replaces.
 
 The negative primary flows need a certified circle operation at every
 node.  Each walks a ladder of power-of-two grids: first the smallest
@@ -75,8 +80,12 @@ def _x_deriv_values(vals: np.ndarray) -> np.ndarray:
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact z-convolution of two coefficient stacks, nodewise in x and
     not dealiased; the row loop runs over the stack with fewer rows."""
-    if a.shape[0] > b.shape[0]:
-        a, b = b, a
+    return _conv_over(b, a) if a.shape[0] > b.shape[0] else _conv_over(a, b)
+
+
+def _conv_over(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_conv with the row loop over a: row d of the result sums
+    a[i] * b[d - i] in increasing i."""
     n1, n2 = a.shape[0], b.shape[0]
     out = np.zeros((n1 + n2 - 1, a.shape[1]), dtype=complex)
     for i in range(n1):
@@ -93,8 +102,9 @@ class LoopField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
-        object.__setattr__(self, "coeffs", arr)
+        c = self.coeffs
+        if not (type(c) is np.ndarray and c.ndim == 2 and c.dtype == complex):
+            object.__setattr__(self, "coeffs", np.atleast_2d(np.asarray(c, dtype=complex)))
 
     @property
     def hi(self) -> int:
@@ -124,17 +134,23 @@ class LoopField:
         return LoopField(self.lo + a, self.coeffs[a : b + 1])
 
     def __add__(self, other: "LoopField") -> "LoopField":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: "LoopField") -> "LoopField":
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: "LoopField", op) -> "LoopField":
+        """self op other (np.add or np.subtract) on the union of the two
+        row windows, both written onto zeros."""
         if self.nodes != other.nodes:
             raise la.GridMismatch("node counts differ")
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
         out = np.zeros((hi - lo + 1, self.nodes), dtype=complex)
         out[self.lo - lo : self.hi - lo + 1] += self.coeffs
-        out[other.lo - lo : other.hi - lo + 1] += other.coeffs
+        rows = out[other.lo - lo : other.hi - lo + 1]
+        op(rows, other.coeffs, out=rows)
         return LoopField(lo, out)
-
-    def __sub__(self, other: "LoopField") -> "LoopField":
-        return self + other.scale(-1.0)
 
     def scale(self, c: complex) -> "LoopField":
         return LoopField(self.lo, c * self.coeffs)
@@ -448,6 +464,39 @@ def _field_power(f: LoopField, n: int) -> LoopField:
     return out
 
 
+def _power_part(f: LoopField, n: int, kind: str, k: int) -> LoopField:
+    """_field_power(f, n).project(kind, k), bit for bit, multiplying only
+    the rows of f that reach the kept degrees.
+
+    A degree d >= k of f ** n sums products of n rows of f, each of degree
+    at most f.hi, so f ** j is needed only in degrees >= k - (n - j) f.hi
+    and f itself in degrees >= k - (n - 1) f.hi; "leq" mirrors this with
+    f.lo.  Dealiasing acts row by row, and each product runs its row loop
+    over the same operand as _field_power's, so every kept row sums the
+    same terms in the same order."""
+    top = n * (f.hi if kind == "geq" else f.lo)
+    if n < 2 or (k > top if kind == "geq" else k < top):
+        return _field_power(f, n).project(kind, k)
+
+    def part(lo: int, rows: np.ndarray, j: int) -> tuple[int, np.ndarray]:
+        """The degrees of f ** j (rows from degree lo) that the kept
+        degrees of f ** n read."""
+        if kind == "geq":
+            cut = max(k - (n - j) * f.hi - lo, 0)
+            return lo + cut, rows[cut:]
+        return lo, rows[: k - (n - j) * f.lo - lo + 1]
+
+    base_lo, base = part(f.lo, f.coeffs, 1)
+    lo, out = base_lo, base
+    for j in range(2, n + 1):
+        # _field_power's products loop over the rows of f: f ** (j - 1)
+        # has more rows, unless f has one row and so has every power
+        raw = _conv_over(base, out) if f.coeffs.shape[0] > 1 else _conv_over(out, base)
+        lo, raw = part(lo + base_lo, raw, j)
+        out = _dealias(raw)
+    return LoopField(lo, out).project(kind, k)
+
+
 def _first_grid(L: LoopPoint) -> int:
     """The smallest grid that holds the loop's retained z band."""
     return la.default_grid_size(2 * max(-L.lam.lo, L.lbar.hi, 2))
@@ -508,9 +557,9 @@ def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
         gen = log_w_field(L) if n == -1 else w_power_field(L, n + 1)
         lower, upper = gen.project("leq", -1), gen.project("geq", 0)
     elif kind == "s":
-        gen = lower = upper = _field_power(L.lam, n).project("geq", 0)
+        gen = lower = upper = _power_part(L.lam, n, "geq", 0)
     elif kind == "sbar":
-        gen = lower = upper = _field_power(L.lbar, n).project("leq", -1)
+        gen = lower = upper = _power_part(L.lbar, n, "leq", -1)
     else:
         raise ValueError(f"unknown flow {flow!r}")
     # both brackets read the generator's x-derivative, taken once
@@ -561,8 +610,11 @@ def hamiltonian(L: LoopPoint, n: int, bar: bool = False) -> complex:
     if n == -1:
         return complex(np.mean((L.lbar if bar else L.lam).row(0)))
     f = L.lbar if bar else L.lam
-    # row 0 of f ** n * f before dealiasing: its x-mean is the same
-    row0 = _pair_rows(_field_power(f, n), f.shift(-1))
+    # row 0 of f ** n * f before dealiasing: its x-mean is the same; it
+    # reads degree d of f ** n against degree -d of f, so d >= -f.hi
+    # (lam) or d <= -f.lo (lbar)
+    part = _power_part(f, n, "leq", -f.lo) if bar else _power_part(f, n, "geq", -f.hi)
+    row0 = _pair_rows(part, f.shift(-1))
     return complex(-np.mean(row0) / (n + 1))
 
 
@@ -578,10 +630,10 @@ def gradient(L: LoopPoint, n: int, bar: bool = False) -> LoopCotangent:
             return LoopCotangent(zero_field(nodes), unit)
         return LoopCotangent(unit, zero_field(nodes))
     if bar:
-        p = _field_power(L.lbar, n).shift(-1)
-        return LoopCotangent(zero_field(nodes), p.project("leq", 0).scale(-1.0))
-    p = _field_power(L.lam, n).shift(-1)
-    return LoopCotangent(p.project("geq", -1).scale(-1.0), zero_field(nodes))
+        p = _power_part(L.lbar, n, "leq", 1).shift(-1)
+        return LoopCotangent(zero_field(nodes), p.scale(-1.0))
+    p = _power_part(L.lam, n, "geq", 0).shift(-1)
+    return LoopCotangent(p.scale(-1.0), zero_field(nodes))
 
 
 # -- Poisson operators -------------------------------------------------
@@ -673,19 +725,48 @@ def primary_gradient_fd(L: LoopPoint, which, eps: float = 1e-6, pad: int = 12) -
 # -- time stepping -----------------------------------------------------
 
 
-def _advance(L: LoopPoint, t: LoopTangent, h: float) -> LoopPoint:
-    # no trimming: the allocated bands are the retained truncation windows
-    return LoopPoint(L.lam + t.a.scale(h), L.lbar + t.ab.scale(h))
-
-
 def rk4_step(L: LoopPoint, flow, h: float) -> LoopPoint:
-    k1 = _flow_tangent(L, flow)
-    k2 = _flow_tangent(_advance(L, k1, 0.5 * h), flow)
-    k3 = _flow_tangent(_advance(L, k2, 0.5 * h), flow)
-    k4 = _flow_tangent(_advance(L, k3, h), flow)
-    a = k1.a + k2.a.scale(2.0) + k3.a.scale(2.0) + k4.a
-    ab = k1.ab + k2.ab.scale(2.0) + k3.ab.scale(2.0) + k4.ab
-    out = _advance(L, LoopTangent(a, ab), h / 6.0)
+    """One classical RK4 step, refused on blow-up or on a band-edge tail.
+
+    Stages are read onto zero-padded arrays of the loop's tangent windows,
+    degrees min(lam.lo, 0)..0 and -1..max(lbar.hi, 0), and summed there,
+    with the additions, in the order, of the LoopField sums L + c k_i and
+    k1 + 2 k2 + 2 k3 + k4 they replace, so the bits are theirs.  Each
+    point keeps the rows those sums span: L's, widened only where a zero
+    tangent slot (a row at degree 0) lies outside them."""
+    lo, top = min(L.lam.lo, 0), max(L.lbar.hi, 0)
+    nodes = L.nodes
+    # L's slots read onto zeros, as a LoopField sum reads them
+    lam0 = np.zeros((2 - lo, nodes), dtype=complex)
+    lam0[L.lam.lo - lo :] += L.lam.coeffs
+    bar0 = np.zeros((top + 2, nodes), dtype=complex)
+    bar0[: L.lbar.hi + 2] += L.lbar.coeffs
+
+    def padded(f: LoopField, start: int, rows: int) -> np.ndarray:
+        out = np.zeros((rows, nodes), dtype=complex)
+        out[f.lo - start : f.hi - start + 1] = f.coeffs
+        return out
+
+    def shifted(da: np.ndarray, dab: np.ndarray, c: float, a_lo: int, b_hi: int) -> LoopPoint:
+        """L + c (da, dab) on degrees a_lo..1 and -1..b_hi."""
+        lam, bar = lam0.copy(), bar0 + c * dab
+        lam[:-1] += c * da
+        return LoopPoint(LoopField(a_lo, lam[a_lo - lo :]), LoopField(-1, bar[: b_hi + 2]))
+
+    acc_a = np.zeros((1 - lo, nodes), dtype=complex)
+    acc_ab = np.zeros((top + 2, nodes), dtype=complex)
+    a_lo, b_hi = L.lam.lo, L.lbar.hi
+    cur = L
+    # each stage's weight in the sum, and the step c h to the next stage
+    for weight, c in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0), (1.0, None)):
+        k = _flow_tangent(cur, flow)
+        da, dab = padded(k.a, lo, 1 - lo), padded(k.ab, -1, top + 2)
+        acc_a += weight * da
+        acc_ab += weight * dab
+        a_lo, b_hi = min(a_lo, k.a.lo), max(b_hi, k.ab.hi)
+        if c is not None:
+            cur = shifted(da, dab, c * h, min(L.lam.lo, k.a.lo), max(L.lbar.hi, k.ab.hi))
+    out = shifted(acc_a, acc_ab, h / 6.0, a_lo, b_hi)
     if out.max_abs() > BLOWUP_LIMIT:
         raise BlowUp(f"coefficient magnitude beyond {BLOWUP_LIMIT:.1e}")
     tails = tail_report(out)
@@ -711,7 +792,11 @@ def step_count(T: float, h: float) -> int:
 def integrate(L: LoopPoint, flow, T: float, h: float, record_every: int = 10):
     """March with classical RK4 to T in step_count(T, h) steps; returns
     (snapshots, ledger) where the ledger rows carry the conserved
-    quantities and tail diagnostics."""
+    quantities and tail diagnostics.  A snapshot is kept every
+    record_every steps and at T; record_every below 1 raises ValueError
+    before any step is taken."""
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every!r}")
     steps = step_count(T, h)
     snapshots = [(0.0, L)]
     ledger = []

@@ -62,14 +62,29 @@ class LaurentSeries:
     c is one row, or a stack of shape (K, width) holding K series.  Normal
     form trims degrees zero in every row at both ends; the zero series has
     no columns.  Instances are treated as immutable.
+
+    The constructor scans for that form only when an end column of its
+    input vanishes in every row (most results of the ring operations
+    already have nonzero ends), and it always copies, so a caller who
+    mutates its array afterwards cannot change the series.  A sum or
+    difference is written into one zero-filled output with the arithmetic
+    of the two zero-padded windows, signed zeros included.
     """
 
     __slots__ = ("lo", "c")
 
     def __init__(self, lo: int, coeffs) -> None:
         c = np.asarray(coeffs, dtype=complex)
-        if c.ndim not in (1, 2):
+        if c.ndim == 1:
+            trimmed = len(c) > 0 and c[0] != 0 and c[-1] != 0
+        elif c.ndim == 2:
+            trimmed = c.shape[1] > 0 and c[:, 0].any() and c[:, -1].any()
+        else:
             raise ValueError("coefficients must be one row or a stack of rows")
+        if trimmed:
+            self.lo = int(lo)
+            self.c = c.copy()
+            return
         nz = np.nonzero(c if c.ndim == 1 else np.any(c, axis=0))[0]
         if len(nz) == 0:
             self.lo = 0
@@ -135,12 +150,37 @@ class LaurentSeries:
             return other
         if other.is_zero:
             return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return LaurentSeries(lo, self.window(lo, hi) + other.window(lo, hi))
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        if self.is_zero:
+            return -other
+        if other.is_zero:
+            return self
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: "LaurentSeries", op) -> "LaurentSeries":
+        """self op other (np.add or np.subtract) on the union band, written
+        into one zero-filled output; a one-row operand meets every row of
+        a stack.  The result is that of the two zero-padded windows,
+        signed zeros included: a coefficient of self outside other's band
+        gets the +0.0 the padding added."""
+        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
+        a = slice(self.lo - lo, self.hi - lo + 1)
+        b = slice(other.lo - lo, other.hi - lo + 1)
+        if a == b:
+            return LaurentSeries(lo, op(self.c, other.c))
+        rows = (() if self.c.ndim == other.c.ndim == 1
+                else np.broadcast_shapes(self.c.shape[:-1], other.c.shape[:-1]))
+        out = np.zeros(rows + (hi - lo + 1,), dtype=complex)
+        out[..., a] = self.c
+        band = out[..., b]
+        op(band, other.c, out=band)
+        if self.lo < other.lo:
+            out[..., : b.start] += 0.0
+        if self.hi > other.hi:
+            out[..., b.stop :] += 0.0
+        return LaurentSeries(lo, out)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.lo, -self.c)

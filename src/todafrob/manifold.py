@@ -279,11 +279,21 @@ def pair(o: Cotangent, x: Tangent) -> complex:
     return (o.w1 * x.a).residue() + (o.w2 * x.ab).residue()
 
 
-def cot_mul(pt: Point, o1: Cotangent, o2: Cotangent) -> Cotangent:
-    """Cotangent product; exact banded arithmetic, no truncation."""
+def cot_sum(pt: Point, o: Cotangent) -> LS:
+    """s = lam' w1 + lbar' w2, the part of cot_mul and eta_apply that reads
+    one one-form only."""
+    return pt.lam_p * o.w1 + pt.lbar_p * o.w2
+
+
+def cot_mul(pt: Point, o1: Cotangent, o2: Cotangent,
+            s1: LS | None = None, s2: LS | None = None) -> Cotangent:
+    """Cotangent product; exact banded arithmetic, no truncation.
+
+    s1 and s2 are cot_sum(pt, o1) and cot_sum(pt, o2), formed here unless
+    the caller passes them: a product table forms them once per operand."""
     lp, bp = pt.lam_p, pt.lbar_p
-    s1 = lp * o1.w1 + bp * o1.w2
-    s2 = lp * o2.w1 + bp * o2.w2
+    s1 = cot_sum(pt, o1) if s1 is None else s1
+    s2 = cot_sum(pt, o2) if s2 is None else s2
     cross = o1.w1 * o2.w2 + o1.w2 * o2.w1
     q_first = lp * (o1.w1 * o2.w1) + bp * cross
     q_second = bp * (o1.w2 * o2.w2) + lp * cross
@@ -303,7 +313,7 @@ def cot_mul(pt: Point, o1: Cotangent, o2: Cotangent) -> Cotangent:
 def eta_apply(pt: Point, o: Cotangent) -> Tangent:
     """Metric map from one-forms to variations; exact banded."""
     lp, bp = pt.lam_p, pt.lbar_p
-    s = lp * o.w1 + bp * o.w2
+    s = cot_sum(pt, o)
     d = o.w1 - o.w2
     a = (s.project("leq", -2) - lp * d.project("leq", -2)).shift(2)
     ab = (s.project("geq", -1) + bp * d.project("geq", -1)).shift(2)

@@ -197,12 +197,20 @@ def _theta(k: int) -> float:
     return 1.0 if k >= 0 else -1.0
 
 
-def _lowered_mul(pt: mf.Point, ox: mf.Cotangent, oy: mf.Cotangent) -> mf.Tangent:
-    """mf.tan_mul on frames already lowered by mf.eta_inverse.
+def _lower(pt: mf.Point, x: mf.Tangent) -> tuple[mf.Cotangent, LS]:
+    """x lowered by mf.eta_inverse, with its mf.cot_sum."""
+    o = mf.eta_inverse(pt, x)
+    return o, mf.cot_sum(pt, o)
 
-    A table lowers each of its frames once per point and forms every
-    product from the lowered frames, with tan_mul's own arithmetic."""
-    return mf.eta_apply(pt, mf.cot_mul(pt, ox, oy))
+
+def _lowered_mul(pt: mf.Point, x: tuple, y: tuple) -> mf.Tangent:
+    """mf.tan_mul on frames already lowered by _lower.
+
+    A table lowers each of its frames once per point, with its cot_sum,
+    and forms every product from the lowered frames, with tan_mul's own
+    arithmetic."""
+    (ox, sx), (oy, sy) = x, y
+    return mf.eta_apply(pt, mf.cot_mul(pt, ox, oy, sx, sy))
 
 
 def _locus_table(u: float, v: float, kmax: int, acc: _Acc) -> None:
@@ -212,8 +220,8 @@ def _locus_table(u: float, v: float, kmax: int, acc: _Acc) -> None:
     span = range(-2 * kmax - 1, 2 * kmax + 2)
     frame = {m: fc.flat_frame(pt, m).scale(-1.0) for m in span}
     du_f, dv_f = mf.frame_u(pt), mf.frame_v()
-    low = {m: mf.eta_inverse(pt, frame[m]) for m in range(-kmax, kmax + 1)}
-    low_u = mf.eta_inverse(pt, du_f)
+    low = {m: _lower(pt, frame[m]) for m in range(-kmax, kmax + 1)}
+    low_u = _lower(pt, du_f)
     for i in range(-kmax, kmax + 1):
         for j in range(-kmax, kmax + 1):
             c = 0.5 * (_theta(i) + _theta(j) + _theta(-i - j - 2) + 1.0)
@@ -242,10 +250,7 @@ def _reduced_table(kmax: int, acc: _Acc, v: float = -0.2) -> None:
     pts = [mf.locus_point(-3.0, v), mf.locus_point(-3.0 + np.log(2.0), v)]
     span = range(-2 * kmax - 1, 2 * kmax + 2)
     frame = {m: fc.flat_frame(pts[0], m).scale(-1.0) for m in span}
-    low = [
-        {m: mf.eta_inverse(pt, frame[m]) for m in range(-kmax, kmax + 1)}
-        for pt in pts
-    ]
+    low = [{m: _lower(pt, frame[m]) for m in range(-kmax, kmax + 1)} for pt in pts]
 
     def pr_mul(k: int, i: int, j: int) -> mf.Tangent:
         pt = pts[k]

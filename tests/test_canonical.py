@@ -4,6 +4,8 @@ smeared delta relations (diagonal metric and multiplication)."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 import todafrob.canonical as ca
@@ -168,6 +170,24 @@ def test_semisimplicity():
     assert ca.semisimplicity_residual(PT, x, y) < 1e-8
     assert ca.semisimplicity_residual(PTF, x, y) < 1e-8
     assert ca.semisimplicity_residual(PT, x, mf.frame_u(PT)) < 1e-8
+
+
+def test_semisimplicity_residual_reads_the_grid_once(monkeypatch):
+    # du_grid at the roots, not Horner: lam' and lbar' on the grid once
+    x, y = mf.sample_tangent(5), mf.sample_tangent(6)
+    p = la.unit_roots(256)
+    xy = mf.tan_mul(PT, x, y)
+    horner = np.max(np.abs(ca.du_pair(PT, p, xy) - ca.du_pair(PT, p, x) * ca.du_pair(PT, p, y)))
+    pt = mf.Point(PT.lam, PT.lbar)  # nothing cached yet
+    evaluations, grids = Counter(), Counter()
+    monkeypatch.setattr(la.LaurentSeries, "evaluate",
+                        lambda *a: evaluations.update(["evaluate"]))
+    real = mf.Point.derivatives_on_grid
+    monkeypatch.setattr(mf.Point, "derivatives_on_grid",
+                        lambda self, m: grids.update([m]) or real(self, m))
+    grid = ca.semisimplicity_residual(pt, x, y)
+    assert evaluations["evaluate"] == 0 and grids == Counter({256: 3})
+    assert abs(grid - horner) < 1e-12 and grid < 1e-12
 
 
 def test_metric_diagonality_witness():

@@ -776,3 +776,104 @@ def test_integrate_computes_one_tail_report_per_step(monkeypatch):
     _, ledger = hi.integrate(fresh, "v", 3e-3, 1e-3)
     assert len(ledger) == 4
     assert calls["x_tail"] == 2 * 4  # the initial state, then one per step
+
+
+# -- lean ring kernels: the same bits as the LoopField chains -----------------
+
+
+def chained_rk4_step(L: hi.LoopPoint, flow, h: float) -> hi.LoopPoint:
+    """rk4_step's stages through LoopField add and scale, the arithmetic
+    its padded accumulation must reproduce bit for bit."""
+
+    def advance(t: hi.LoopTangent, c: float) -> hi.LoopPoint:
+        return hi.LoopPoint(L.lam + t.a.scale(c), L.lbar + t.ab.scale(c))
+
+    k1 = hi._flow_tangent(L, flow)
+    k2 = hi._flow_tangent(advance(k1, 0.5 * h), flow)
+    k3 = hi._flow_tangent(advance(k2, 0.5 * h), flow)
+    k4 = hi._flow_tangent(advance(k3, h), flow)
+    a = k1.a + k2.a.scale(2.0) + k3.a.scale(2.0) + k4.a
+    ab = k1.ab + k2.ab.scale(2.0) + k3.ab.scale(2.0) + k4.ab
+    return advance(hi.LoopTangent(a, ab), h / 6.0)
+
+
+def assert_same_field(got: hi.LoopField, want: hi.LoopField) -> None:
+    assert got.lo == want.lo and got.coeffs.shape == want.coeffs.shape
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("nodes", [32, 128])
+@pytest.mark.parametrize("flow", [("s", 1), ("s", 2), ("t", 1), "u", "v", ("t", -2)],
+                         ids=["s1", "s2", "t1", "u", "v", "t-2"])
+def test_rk4_step_is_bit_equal_to_the_loopfield_chain(flow, nodes):
+    L = hi.sample_loop(21, nodes=nodes)
+    got, want = hi.rk4_step(L, flow, 1e-3), chained_rk4_step(L, flow, 1e-3)
+    assert_same_field(got.lam, want.lam)
+    assert_same_field(got.lbar, want.lbar)
+
+
+def test_rk4_step_widens_a_short_slot_as_the_chain_does(monkeypatch):
+    # lam = z or lbar = e^u / z alone: a zero tangent slot lives at degree
+    # 0, outside the slot, so the LoopField sums widen the slot by that
+    # row, and with lam = z the next stage's sbar1 flow fills it; the
+    # padded stages must do the same
+    monkeypatch.setattr(hi, "TAIL_LIMIT", np.inf)  # the edge rows are the point
+    short_lbar = hi.LoopPoint(L3.lam, hi.LoopField(-1, L3.lbar.coeffs[:1]))
+    short_lam = hi.LoopPoint(hi.LoopField(1, np.ones((1, K), dtype=complex)), L3.lbar)
+    assert hi.rk4_step(short_lam, ("sbar", 1), 1e-2).lam.lo == 0
+    for L in (short_lbar, short_lam, hi.from_point(mf.locus_point(-0.5, 0.0), K)):
+        for flow in [("s", 1), ("sbar", 1), "u", "v"]:
+            got, want = hi.rk4_step(L, flow, 1e-2), chained_rk4_step(L, flow, 1e-2)
+            assert_same_field(got.lam, want.lam)
+            assert_same_field(got.lbar, want.lbar)
+
+
+def full_power_hamiltonian(L: hi.LoopPoint, n: int, bar: bool) -> complex:
+    """hamiltonian(L, n >= 1) from the full power f ** n."""
+    f = L.lbar if bar else L.lam
+    return complex(-np.mean(hi._pair_rows(hi._field_power(f, n), f.shift(-1))) / (n + 1))
+
+
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_truncated_powers_are_bit_equal_to_full_powers(nodes):
+    L = hi.sample_loop(22, nodes=nodes)
+    for n in (1, 2, 3):
+        for bar in (False, True):
+            assert hi.hamiltonian(L, n, bar) == full_power_hamiltonian(L, n, bar)
+        grad, grad_bar = hi.gradient(L, n).w1, hi.gradient(L, n, bar=True).w2
+        assert_same_field(grad, hi._field_power(L.lam, n).shift(-1).project("geq", -1).scale(-1.0))
+        assert_same_field(grad_bar, hi._field_power(L.lbar, n).shift(-1).project("leq", 0).scale(-1.0))
+    for f, n, kind, k in [(L.lam, 2, "geq", 0), (L.lam, 3, "geq", 0),
+                          (L.lbar, 2, "leq", -1), (L.lbar, 3, "leq", 1)]:
+        assert_same_field(hi._power_part(f, n, kind, k), hi._field_power(f, n).project(kind, k))
+    # a one-row field, and kept degrees no power reaches
+    row = hi.LoopField(-1, L.lbar.coeffs[:1])
+    assert_same_field(hi._power_part(row, 3, "leq", -2), hi._field_power(row, 3).project("leq", -2))
+    assert_same_field(hi._power_part(L.lam, 2, "geq", 3), hi.zero_field(nodes))
+
+
+def test_truncated_powers_multiply_only_the_rows_they_keep(monkeypatch):
+    # H2 reads degrees >= -1 of lam ** 2, which only lam's rows -2..1 reach
+    shapes = []
+    real = hi._conv_over
+    monkeypatch.setattr(hi, "_conv_over", lambda a, b: shapes.append(a.shape[0]) or real(a, b))
+    hi.hamiltonian(L3, 2)
+    assert shapes == [4] and L3.lam.coeffs.shape[0] == 18
+
+
+def test_loopfield_sums_keep_their_bits_and_arrays():
+    # subtraction without a negated copy: the bits of self + (-1) * other
+    f, g = L3.lam, L3.lbar
+    assert_same_field(f - g, f + g.scale(-1.0))
+    assert_same_field(g - f.shift(3), g + f.shift(3).scale(-1.0))
+    # a 2-D complex array is taken as it is; anything else is coerced
+    assert hi.LoopField(0, f.coeffs).coeffs is f.coeffs
+    assert hi.LoopField(0, np.ones(K)).coeffs.shape == (1, K)
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_integrate_refuses_record_every_below_one(monkeypatch, every):
+    steps = counted(monkeypatch, hi, "rk4_step")
+    with pytest.raises(ValueError, match="record_every"):
+        hi.integrate(L3, ("s", 1), 0.02, 1e-2, record_every=every)
+    assert steps["rk4_step"] == 0

@@ -122,6 +122,78 @@ def test_in_place_horner_is_bit_equal_to_the_allocating_loop():
         assert np.array_equal(got, want)
 
 
+def padded_sum(f: LS, g: LS, sign: float) -> LS:
+    """f + g (sign 1) or f - g (sign -1) by the two zero-padded windows,
+    the arithmetic the one-output sums must reproduce bit for bit."""
+    if sign < 0:
+        g = LS(g.lo, -g.c)
+    if f.is_zero:
+        return g
+    if g.is_zero:
+        return f
+    lo, hi = min(f.lo, g.lo), max(f.hi, g.hi)
+    return LS(lo, f.window(lo, hi) + g.window(lo, hi))
+
+
+def scanned_normal_form(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
+    """Normal form by a scan of every degree, as the constructor once
+    formed it for every input."""
+    nz = np.nonzero(c if c.ndim == 1 else np.any(c, axis=0))[0]
+    if len(nz) == 0:
+        return 0, np.zeros(c.shape[:-1] + (0,), dtype=complex)
+    return lo + int(nz[0]), c[..., nz[0] : nz[-1] + 1]
+
+
+def assert_same_bits(got: LS, want: LS) -> None:
+    assert got.lo == want.lo and got.c.shape == want.c.shape
+    assert got.c.tobytes() == want.c.tobytes()  # signed zeros included
+
+
+def sparse_coeffs(rng, shape) -> np.ndarray:
+    """Coefficients drawn from 0.0, -0.0 and two nonzeros, so zero ends,
+    cancellations and signed zeros all occur."""
+    vals = np.array([0.0, -0.0, 1.5, -2.0])
+    return rng.choice(vals, shape) + 1j * rng.choice(vals, shape)
+
+
+@pytest.mark.parametrize("rows", [(None, None), (4, 4), (None, 4), (4, None)],
+                         ids=["row", "stack", "row-stack", "stack-row"])
+def test_sums_are_bit_equal_to_the_padded_windows(rows):
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        f, g = (LS(int(rng.integers(-5, 5)),
+                   sparse_coeffs(rng, (int(rng.integers(1, 8)),) if r is None
+                                 else (r, int(rng.integers(1, 8)))))
+                for r in rows)
+        for sign in (1.0, -1.0):
+            got = f + g if sign > 0 else f - g
+            assert_same_bits(got, padded_sum(f, g, sign))
+    # smooth rows broadcast against a stack, in both orders
+    row, stack = random_series(rng, -3, 6), LS(-6, rng.standard_normal((5, 8)) + 0j)
+    for f, g in [(row, stack), (stack, row)]:
+        assert (f + g).c.shape == (5, 13)
+        assert_same_bits(f + g, padded_sum(f, g, 1.0))
+        assert_same_bits(f - g, padded_sum(f, g, -1.0))
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 9)], ids=["row", "stack"])
+def test_construction_is_the_scanned_normal_form_and_a_copy(shape):
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        c = sparse_coeffs(rng, shape)
+        f = LS(-3, c)
+        lo, want = scanned_normal_form(-3, c)
+        assert f.lo == lo and f.c.tobytes() == want.tobytes()
+    # ends nonzero (the unscanned path) and ends zero (a trimmed view):
+    # mutating the caller's array afterwards leaves the series as it was
+    for c in (rng.standard_normal(shape) + 1j, np.pad(rng.standard_normal(shape) + 1j,
+                                                    [(0, 0)] * (len(shape) - 1) + [(2, 1)])):
+        f = LS(0, c)
+        kept = f.c.copy()
+        c[...] = 7.0
+        assert np.array_equal(f.c, kept)
+
+
 def test_aliasing_detected_by_roundtrip():
     # z^5 on 4 nodes aliases onto degree 1: recovery on [-1, 1] returns z
     f = LS.monomial(5)

@@ -114,6 +114,34 @@ def test_cot_mul_associative():
     assert left.dist(right) / scale < 1e-12
 
 
+def unshared_cot_mul(pt: mf.Point, o1: mf.Cotangent, o2: mf.Cotangent) -> mf.Cotangent:
+    """cot_mul as written before its per-operand sums could be shared."""
+    lp, bp = pt.lam_p, pt.lbar_p
+    s1 = lp * o1.w1 + bp * o1.w2
+    s2 = lp * o2.w1 + bp * o2.w2
+    cross = o1.w1 * o2.w2 + o1.w2 * o2.w1
+    q_first = lp * (o1.w1 * o2.w1) + bp * cross
+    q_second = bp * (o1.w2 * o2.w2) + lp * cross
+    first = (o1.w1 * s2.project("geq", -1) + o2.w1 * s1.project("geq", -1)
+             - q_first.project("geq", -3)).shift(2)
+    second = (-(o1.w2 * s2.project("leq", -2)) - o2.w2 * s1.project("leq", -2)
+              + q_second.project("leq", -2)).shift(2)
+    return mf.Cotangent(first, second)
+
+
+def test_cot_mul_with_shared_sums_is_bit_equal():
+    pts = [PT, mf.locus_point(0.3, -0.2)]
+    os = [mf.sample_cotangent(s, n=6) for s in (31, 32, 33)] + [E_STAR]
+    for pt in pts:
+        sums = [mf.cot_sum(pt, o) for o in os]
+        for o1, s1 in zip(os, sums):
+            for o2, s2 in zip(os, sums):
+                want = unshared_cot_mul(pt, o1, o2)
+                for got in (mf.cot_mul(pt, o1, o2), mf.cot_mul(pt, o1, o2, s1, s2)):
+                    for g, w in ((got.w1, want.w1), (got.w2, want.w2)):
+                        assert g.lo == w.lo and g.c.tobytes() == w.c.tobytes()
+
+
 def test_eta_unit_correspondence():
     # eta sends the cotangent unit to e = (-1, 1) and back
     img = mf.eta_apply(PT, E_STAR)
