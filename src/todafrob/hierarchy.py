@@ -12,9 +12,16 @@ row of a power, which dealiasing never changes, so it is a one-row
 contraction of the next lower power with the field.  That contraction,
 the gradients and the s_n / sbar_n generators keep only some degrees of a
 power, so they multiply only the rows of lam or lbar that reach them (H2
-uses lam's rows -2..1), bit for bit the full power's rows.  An RK4 step
-sums its stages on zero-padded arrays of the loop's fixed tangent
-windows, with the additions of the LoopField sums it replaces.
+uses lam's rows -2..1), bit for bit the full power's rows.  Products,
+brackets and x-derivatives run on the live rows of their operands, from
+the first to the last nonzero row: lam and lbar carry exactly-zero rows
+at their band ends, which add only zeros, so every row keeps its bits
+and each result keeps the rows of the whole product.  The t0 flow
+brackets with the three-row generator lbar_{<=-1} - lam_{>=0}, equal to
+the brackets of the two halves of w (see flow_rhs).  An RK4 step sums
+its stages on zero-padded arrays of the loop's fixed tangent windows,
+with the additions of the LoopField sums it replaces, and fails closed:
+a non-finite state or step raises BlowUp.
 
 The negative primary flows need a certified circle operation at every
 node.  Each walks a ladder of power-of-two grids: first the smallest
@@ -65,22 +72,52 @@ def _modes(k: int) -> np.ndarray:
     return modes
 
 
+@functools.lru_cache(maxsize=16)
+def _ik(k: int) -> np.ndarray:
+    """i times the x-wavenumbers of a K-point grid (read-only)."""
+    ik = 1j * _modes(k)
+    ik.flags.writeable = False
+    return ik
+
+
 def _dealias(arr: np.ndarray) -> np.ndarray:
+    """Zero each row's x-modes |m| > K // 3: in FFT order they are the
+    one contiguous block of indices K // 3 + 1 .. K - K // 3 - 1."""
     k = arr.shape[1]
     spec = np.fft.fft(arr, axis=1)
-    spec[:, np.abs(_modes(k)) > k // 3] = 0.0
+    spec[:, k // 3 + 1 : k - k // 3] = 0.0
     return np.fft.ifft(spec, axis=1)
 
 
 def _x_deriv_values(vals: np.ndarray) -> np.ndarray:
-    k = vals.shape[-1]
-    return np.fft.ifft(1j * _modes(k) * np.fft.fft(vals, axis=-1), axis=-1)
+    return np.fft.ifft(_ik(vals.shape[-1]) * np.fft.fft(vals, axis=-1), axis=-1)
 
 
-def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _live(c: np.ndarray) -> slice:
+    """The rows of c from its first to its last nonzero row; empty when
+    every row is zero."""
+    if len(c) and c[0].any() and c[-1].any():
+        return slice(0, c.shape[0])
+    rows = c.any(axis=1).nonzero()[0]
+    return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+
+
+def _on_rows(block: np.ndarray, start: int, rows: int) -> np.ndarray:
+    """An array of `rows` rows holding block from row start on and zeros
+    elsewhere; block itself when it has all the rows."""
+    if block.shape[0] == rows:
+        return block
+    out = np.zeros((rows, block.shape[1]), dtype=complex)
+    out[start : start + block.shape[0]] = block
+    return out
+
+
+def _conv(a: np.ndarray, b: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
     """Exact z-convolution of two coefficient stacks, nodewise in x and
-    not dealiased; the row loop runs over the stack with fewer rows."""
-    return _conv_over(b, a) if a.shape[0] > b.shape[0] else _conv_over(a, b)
+    not dealiased.  a and b may be the live rows of longer stacks whose
+    row counts are rows; the row loop runs over the operand whose stack
+    has fewer rows (a on a tie), as it would for the whole stacks."""
+    return _conv_over(b, a) if rows[0] > rows[1] else _conv_over(a, b)
 
 
 def _conv_over(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,9 +125,32 @@ def _conv_over(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a[i] * b[d - i] in increasing i."""
     n1, n2 = a.shape[0], b.shape[0]
     out = np.zeros((n1 + n2 - 1, a.shape[1]), dtype=complex)
+    term = np.empty_like(b, dtype=complex)
     for i in range(n1):
-        out[i : i + n2] += a[i] * b
+        np.multiply(a[i], b, out=term)
+        out[i : i + n2] += term
     return out
+
+
+def _live_product(f: LoopField, g: LoopField, raw) -> LoopField:
+    """A dealiased product of f and g formed on their live rows only.
+
+    raw(fl, gl, rows) must build the undealiased product from fl and gl,
+    the live rows of f and g, convolving with _conv(..., rows), where rows
+    is the row counts of f and g.  A zero row adds only zeros to the rows
+    it meets, so every row of the result keeps the bits it has when the
+    whole stacks are convolved and dealiased; the result has the rows of
+    the whole product, zero outside the live block."""
+    if f.nodes != g.nodes:
+        raise la.GridMismatch("node counts differ")
+    rows = (f.coeffs.shape[0], g.coeffs.shape[0])
+    a, b = _live(f.coeffs), _live(g.coeffs)
+    if not (a.stop and b.stop):
+        return LoopField(f.lo + g.lo, np.zeros((sum(rows) - 1, f.nodes), dtype=complex))
+    fl = LoopField(f.lo + a.start, f.coeffs[a])
+    gl = LoopField(g.lo + b.start, g.coeffs[b])
+    block = _dealias(raw(fl, gl, rows))
+    return LoopField(f.lo + g.lo, _on_rows(block, a.start + b.start, sum(rows) - 1))
 
 
 @dataclass(frozen=True)
@@ -116,7 +176,7 @@ class LoopField:
 
     @property
     def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
+        return not self.coeffs.any()
 
     def row(self, d: int) -> np.ndarray:
         if self.lo <= d <= self.hi:
@@ -127,11 +187,10 @@ class LoopField:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
     def trim(self) -> "LoopField":
-        live = np.flatnonzero(np.any(self.coeffs, axis=1))
-        if live.size == 0:
+        live = _live(self.coeffs)
+        if not live.stop:
             return LoopField(0, np.zeros((1, self.nodes), dtype=complex))
-        a, b = live[0], live[-1]
-        return LoopField(self.lo + a, self.coeffs[a : b + 1])
+        return LoopField(self.lo + live.start, self.coeffs[live])
 
     def __add__(self, other: "LoopField") -> "LoopField":
         return self._combine(other, np.add)
@@ -159,9 +218,7 @@ class LoopField:
         return LoopField(self.lo + k, self.coeffs)
 
     def __mul__(self, other: "LoopField") -> "LoopField":
-        if self.nodes != other.nodes:
-            raise la.GridMismatch("node counts differ")
-        return LoopField(self.lo + other.lo, _dealias(_conv(self.coeffs, other.coeffs)))
+        return _live_product(self, other, lambda f, g, rows: _conv(f.coeffs, g.coeffs, rows))
 
     def nodal_mul(self, values: np.ndarray) -> "LoopField":
         return LoopField(self.lo, _dealias(self.coeffs * values[None, :]))
@@ -181,7 +238,10 @@ class LoopField:
         return LoopField(self.lo, degs[:, None] * self.coeffs)
 
     def x_deriv(self) -> "LoopField":
-        return LoopField(self.lo, _x_deriv_values(self.coeffs))
+        """The x-derivative, taken on the live rows only."""
+        live = _live(self.coeffs)
+        block = _x_deriv_values(self.coeffs[live])
+        return LoopField(self.lo, _on_rows(block, live.start, self.coeffs.shape[0]))
 
     def residue(self) -> np.ndarray:
         return self.row(-1)
@@ -221,9 +281,17 @@ def pb(f: LoopField, g: LoopField) -> LoopField:
 
 def _pb(f: LoopField, fx: LoopField, g: LoopField) -> LoopField:
     """pb(f, g) given f's x-derivative fx, so that a generator shared by
-    two brackets is differentiated once by the caller."""
-    raw = _conv(f.zdz().coeffs, g.x_deriv().coeffs) - _conv(g.zdz().coeffs, fx.coeffs)
-    return LoopField(f.lo + g.lo, _dealias(raw))
+    two brackets is differentiated once by the caller.  The z-derivatives,
+    g's x-derivative, both products and the dealias run on the live rows
+    of f and g (_live_product)."""
+
+    def raw(fl: LoopField, gl: LoopField, rows: tuple[int, int]) -> np.ndarray:
+        flx = fx.coeffs[fl.lo - fx.lo : fl.hi - fx.lo + 1]
+        glx = _x_deriv_values(gl.coeffs)
+        return (_conv(fl.zdz().coeffs, glx, rows)
+                - _conv(gl.zdz().coeffs, flx, rows[::-1]))
+
+    return _live_product(f, g, raw)
 
 
 def _rows(fx: LoopField, part: LoopField) -> LoopField:
@@ -261,7 +329,13 @@ class LoopPoint:
         return self.lam + self.lbar
 
     def max_abs(self) -> float:
-        return max(self.lam.max_abs(), self.lbar.max_abs())
+        """The largest coefficient magnitude; NaN if any coefficient is."""
+        return self._top
+
+    @functools.cached_property
+    def _top(self) -> float:
+        # np.maximum keeps a NaN of either slot; max keeps only the first's
+        return float(np.maximum(self.lam.max_abs(), self.lbar.max_abs()))
 
     @functools.cached_property
     def _tails(self) -> dict:
@@ -430,22 +504,29 @@ def tangent_part(L: LoopPoint, dlam: LoopField, dlbar: LoopField):
 
     Returns the trimmed tangent and the relative size of everything
     discarded; the degree-1 part of the first slot vanishes identically
-    for the implemented flows, so a large defect flags band overflow."""
-    scale = max(dlam.max_abs(), dlbar.max_abs(), 1e-300)
-    a, a_out = _window(dlam, L.lam.lo, 0)
-    ab, ab_out = _window(dlbar, -1, L.lbar.hi)
-    return LoopTangent(a, ab), max(a_out, ab_out) / scale
+    for the implemented flows, so a large defect flags band overflow.
+    Each field's row maxima are read once, for the scale, the trim and
+    the defect."""
+    top_a, top_ab = (np.abs(f.coeffs).max(axis=1) for f in (dlam, dlbar))
+    scale = max(top_a.max(), top_ab.max(), 1e-300)
+    a, a_out = _window(dlam, top_a, L.lam.lo, 0)
+    ab, ab_out = _window(dlbar, top_ab, -1, L.lbar.hi)
+    return LoopTangent(a, ab), float(max(a_out, ab_out) / scale)
 
 
-def _window(f: LoopField, lo: int, hi: int) -> tuple[LoopField, float]:
+def _window(f: LoopField, tops: np.ndarray, lo: int, hi: int) -> tuple[LoopField, float]:
     """The rows of f in degrees lo..hi, trimmed, and the largest
-    coefficient outside them."""
+    coefficient outside them, read from the row maxima tops of f."""
     rows = f.coeffs.shape[0]
     i0 = min(max(lo - f.lo, 0), rows)
     i1 = min(max(hi - f.lo + 1, i0), rows)
-    inside = LoopField(f.lo + i0, f.coeffs[i0:i1]).trim()
-    outside = max(np.abs(f.coeffs[:i0]).max(initial=0.0), np.abs(f.coeffs[i1:]).max(initial=0.0))
-    return inside, float(outside)
+    live = tops[i0:i1].nonzero()[0] + i0
+    if live.size:
+        inside = LoopField(f.lo + live[0], f.coeffs[live[0] : live[-1] + 1])
+    else:
+        inside = zero_field(f.nodes)
+    outside = max(tops[:i0].max(initial=0.0), tops[i1:].max(initial=0.0))
+    return inside, outside
 
 
 # -- flows -------------------------------------------------------------
@@ -546,14 +627,29 @@ def log_w_field(L: LoopPoint) -> LoopField:
 def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
     """Raw right-hand side fields for a named flow, before band trimming.
 
-    Tags: ("s", n), ("sbar", n), ("t", alpha), "u", "v"."""
+    Tags: ("s", n), ("sbar", n), ("t", alpha), "u", "v".
+
+    t_alpha for alpha >= 0 brackets lam with (w ** (alpha+1))_{<=-1} and
+    lbar with -(w ** (alpha+1))_{>=0}, both over alpha+1.  At alpha = 0
+    the generator is w = lam + lbar.  Since w_{<=-1} = lam - lam_{>=0} +
+    lbar_{<=-1} and {lam, lam} = 0, the first bracket is {g, lam} with
+    g = lbar_{<=-1} - lam_{>=0}; since -w_{>=0} = -lam_{>=0} - lbar +
+    lbar_{<=-1} and {lbar, lbar} = 0, the second is {g, lbar}.  So t0
+    brackets both slots with the three-row g (degrees -1..1), with no
+    factor and no sign flip: it is the sbar1 flow minus the s1 flow.
+
+    Every bracket works on the live rows of its operands (_live_product):
+    lam and lbar carry exactly-zero rows at their band ends, which add
+    nothing.  The fields keep the rows of the whole bracket."""
     if flow == "v":
         return L.lam.x_deriv(), L.lbar.x_deriv()
     if flow == "u":
         dl, db = flow_rhs(L, ("sbar", 1))
         return dl.scale(-1.0), db.scale(-1.0)
     kind, n = flow
-    if kind == "t":
+    if kind == "t" and n == 0:
+        gen = lower = upper = L.lbar.project("leq", -1) - L.lam.project("geq", 0)
+    elif kind == "t":
         gen = log_w_field(L) if n == -1 else w_power_field(L, n + 1)
         lower, upper = gen.project("leq", -1), gen.project("geq", 0)
     elif kind == "s":
@@ -566,7 +662,7 @@ def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
     gx = gen.x_deriv()
     dlam = _pb(lower, _rows(gx, lower), L.lam)
     dlbar = _pb(upper, _rows(gx, upper), L.lbar)
-    if kind != "t":
+    if kind != "t" or n == 0:
         return dlam, dlbar
     if n == -1:
         return dlam + L.lam.x_deriv(), dlbar.scale(-1.0)
@@ -728,12 +824,20 @@ def primary_gradient_fd(L: LoopPoint, which, eps: float = 1e-6, pad: int = 12) -
 def rk4_step(L: LoopPoint, flow, h: float) -> LoopPoint:
     """One classical RK4 step, refused on blow-up or on a band-edge tail.
 
+    Fails closed: BlowUp is raised before any stage for a non-finite h
+    or a state with a coefficient that is NaN, inf or beyond BLOWUP_LIMIT,
+    and after the step for a result beyond the limit.  Every guard is
+    written so that a NaN refuses.
+
     Stages are read onto zero-padded arrays of the loop's tangent windows,
     degrees min(lam.lo, 0)..0 and -1..max(lbar.hi, 0), and summed there,
     with the additions, in the order, of the LoopField sums L + c k_i and
     k1 + 2 k2 + 2 k3 + k4 they replace, so the bits are theirs.  Each
     point keeps the rows those sums span: L's, widened only where a zero
     tangent slot (a row at degree 0) lies outside them."""
+    _check_magnitude(L)
+    if not math.isfinite(h):
+        raise BlowUp(f"non-finite step h={h!r}")
     lo, top = min(L.lam.lo, 0), max(L.lbar.hi, 0)
     nodes = L.nodes
     # L's slots read onto zeros, as a LoopField sum reads them
@@ -767,22 +871,31 @@ def rk4_step(L: LoopPoint, flow, h: float) -> LoopPoint:
         if c is not None:
             cur = shifted(da, dab, c * h, min(L.lam.lo, k.a.lo), max(L.lbar.hi, k.ab.hi))
     out = shifted(acc_a, acc_ab, h / 6.0, a_lo, b_hi)
-    if out.max_abs() > BLOWUP_LIMIT:
-        raise BlowUp(f"coefficient magnitude beyond {BLOWUP_LIMIT:.1e}")
+    _check_magnitude(out)
     tails = tail_report(out)
-    if max(tails["z_tail"], tails["x_tail"]) > TAIL_LIMIT:
+    if not (tails["z_tail"] <= TAIL_LIMIT and tails["x_tail"] <= TAIL_LIMIT):
         raise TailOverflow(
             f"z tail {tails['z_tail']:.3e}, x tail {tails['x_tail']:.3e}"
         )
     return out
 
 
+def _check_magnitude(L: LoopPoint) -> None:
+    """Refuse with BlowUp a loop with a coefficient beyond BLOWUP_LIMIT or
+    not finite (a NaN fails the comparison, so it refuses too)."""
+    top = L.max_abs()
+    if not top <= BLOWUP_LIMIT:
+        raise BlowUp(f"coefficient magnitude {top:.3e} beyond {BLOWUP_LIMIT:.1e}"
+                     if math.isfinite(top) else "non-finite coefficient in the loop")
+
+
 def step_count(T: float, h: float) -> int:
     """The number of steps h that reach T, refused with ValueError unless
-    it is a whole number, at least one.  The tolerance absorbs the
-    rounding of the quotient, as in 0.07 / 0.01 = 7.000000000000001."""
-    steps = T / h
-    n = round(steps)
+    it is a whole number, at least one; so are h = 0 and a non-finite T,
+    h or quotient.  The tolerance absorbs the rounding of the quotient, as
+    in 0.07 / 0.01 = 7.000000000000001."""
+    steps = T / h if h != 0 else math.nan
+    n = round(steps) if math.isfinite(steps) else 0
     if n < 1 or not math.isclose(steps, n, rel_tol=1e-9):
         raise ValueError(f"T must be a whole number of steps h, got "
                          f"T={T!r}, h={h!r} (T/h = {steps!r})")

@@ -348,12 +348,19 @@ def _refuse(exc, bad, severity, row0: int, message) -> None:
         raise exc(message(k) + (f" (row {row0 + k})" if bad.ndim else ""))
 
 
+def _finite(x, k: int) -> bool:
+    """Whether row k's entry of the per-row array x is finite."""
+    return bool(np.isfinite(np.ravel(x)[k]))
+
+
 def _row_max(vals: np.ndarray, row0: int, message: str):
-    """Each row's largest |value|; rows vanishing on the circle are refused."""
+    """Each row's largest |value|; rows vanishing on the circle are refused,
+    and so are rows holding a NaN or inf (NaN fails every comparison, so
+    each guard here and below is written to refuse unless it holds)."""
     mag = np.abs(vals)
     vmax, vmin = mag.max(axis=-1), mag.min(axis=-1)
-    _refuse(ZeroOnCircle, vmin <= 1e-10 * vmax, -vmin / np.maximum(vmax, 1e-300), row0,
-            lambda k: message)
+    _refuse(ZeroOnCircle, ~(vmin > 1e-10 * vmax), -vmin / np.maximum(vmax, 1e-300), row0,
+            lambda k: message if _finite(vmax, k) else "non-finite values on the unit circle")
     return vmax
 
 
@@ -372,8 +379,9 @@ def _certify(vals: np.ndarray, lo: int, hi: int, tail_tol: float, row0: int) -> 
     degs = np.arange(wlo, whi + 1)
     gmax = np.maximum(mag.max(axis=-1), 1e-300)
     tail = mag[..., (degs < lo) | (degs > hi)].max(axis=-1, initial=0.0)
-    _refuse(TruncationLoss, tail > tail_tol * gmax, tail / gmax, row0, lambda k: (
-        f"tail {np.ravel(tail)[k]:.3e} exceeds {tail_tol:.1e} * max-coefficient on [{lo},{hi}]"))
+    _refuse(TruncationLoss, ~(tail <= tail_tol * gmax), tail / gmax, row0, lambda k: (
+        f"tail {np.ravel(tail)[k]:.3e} exceeds {tail_tol:.1e} * max-coefficient on [{lo},{hi}]"
+        if _finite(gmax, k) else f"non-finite coefficients on [{lo},{hi}]"))
     return full.window(lo, hi)
 
 
@@ -403,8 +411,9 @@ def divide_on_circle(
         resid = np.abs(grid_eval(LaurentSeries(lo, g), m) * den_vals - num_vals).max(axis=-1)
         gmax = np.abs(g).max(axis=-1)
         scale = np.maximum(np.abs(num_vals).max(axis=-1), dmax * np.maximum(gmax, 1.0))
-        _refuse(TruncationLoss, resid > CERT_RESIDUAL_TOL * scale, resid / scale, row0, lambda k: (
-            f"division residual {np.ravel(resid)[k]:.3e} not certified on [{lo},{hi}]"))
+        _refuse(TruncationLoss, ~(resid <= CERT_RESIDUAL_TOL * scale), resid / scale, row0, lambda k: (
+            f"division residual {np.ravel(resid)[k]:.3e} not certified on [{lo},{hi}]"
+            + ("" if _finite(resid, k) else " (non-finite values)")))
         return g
 
     return LaurentSeries(lo, by_row_blocks(rows, (num, den), m))
@@ -428,14 +437,19 @@ def unwrap_on_circle(values: np.ndarray, row0: int = 0):
 
     Raises WindingUnresolved when any step between adjacent samples
     exceeds pi/2, i.e. when the grid is too coarse to track the phase.
+    A row holding a NaN is refused as ZeroOnCircle, and a NaN phase step
+    as WindingUnresolved, both naming the values as non-finite.
     """
     values = np.asarray(values, dtype=complex)
     vmin = np.abs(values).min(axis=-1)
-    _refuse(ZeroOnCircle, vmin == 0.0, -vmin, row0, lambda k: "cannot unwrap a phase through zero")
+    _refuse(ZeroOnCircle, ~(vmin > 0.0), -vmin, row0, lambda k: (
+        "cannot unwrap a phase through zero" if _finite(vmin, k)
+        else "cannot unwrap the phase of non-finite values"))
     steps = np.angle(np.roll(values, -1, axis=-1) / values)
     jump = np.abs(steps).max(axis=-1)
-    _refuse(WindingUnresolved, jump > np.pi / 2, jump, row0,
-            lambda k: "phase step above pi/2 between adjacent samples")
+    _refuse(WindingUnresolved, ~(jump <= np.pi / 2), jump, row0, lambda k: (
+        "phase step above pi/2 between adjacent samples" if _finite(jump, k)
+        else "cannot unwrap the phase of non-finite values"))
     winding = np.rint(np.sum(steps, axis=-1) / (2 * np.pi)).astype(int)
     start = np.zeros(values.shape[:-1] + (1,))
     turned = np.concatenate((start, np.cumsum(steps[..., :-1], axis=-1)), axis=-1)
@@ -575,8 +589,9 @@ def log_on_circle(
         fmax = _row_max(vals, row0, "logarithm of a function vanishing on the circle")
         g = _certify(log_values_on_circle(vals, row0), lo, hi, tail_tol, row0)
         resid = np.abs(np.exp(grid_eval(LaurentSeries(lo, g), m)) - vals).max(axis=-1)
-        _refuse(TruncationLoss, resid > CERT_RESIDUAL_TOL * fmax, resid / fmax, row0, lambda k: (
-            f"log residual {np.ravel(resid)[k]:.3e} not certified on [{lo},{hi}]"))
+        _refuse(TruncationLoss, ~(resid <= CERT_RESIDUAL_TOL * fmax), resid / fmax, row0, lambda k: (
+            f"log residual {np.ravel(resid)[k]:.3e} not certified on [{lo},{hi}]"
+            + ("" if _finite(resid, k) else " (non-finite values)")))
         return g
 
     return LaurentSeries(lo, by_row_blocks(rows, (f,), m))

@@ -740,7 +740,7 @@ def reference_rhs(L: hi.LoopPoint, flow):
 @pytest.mark.parametrize("nodes", [32, 128])
 def test_shared_derivatives_are_bit_equal_to_separate_brackets(nodes):
     L = LOOPS[nodes]
-    flows = [("s", 1), ("s", 2), ("sbar", 1), ("sbar", 2), ("t", 0), ("t", 1), ("t", -1), ("t", -2)]
+    flows = [("s", 1), ("s", 2), ("sbar", 1), ("sbar", 2), ("t", 1), ("t", -1), ("t", -2)]
     for flow in flows:
         for got, ref in zip(hi.flow_rhs(L, flow), reference_rhs(L, flow)):
             assert got.lo == ref.lo and np.array_equal(got.coeffs, ref.coeffs), flow
@@ -877,3 +877,163 @@ def test_integrate_refuses_record_every_below_one(monkeypatch, every):
     with pytest.raises(ValueError, match="record_every"):
         hi.integrate(L3, ("s", 1), 0.02, 1e-2, record_every=every)
     assert steps["rk4_step"] == 0
+
+
+# -- cheaper Lax stages: t0 from its generator, brackets on live rows ---------
+
+
+def w_bracket_t0(L: hi.LoopPoint):
+    """t0 as the brackets of w = lam + lbar, the arithmetic before the
+    three-row generator: {w_{<=-1}, lam} and -{w_{>=0}, lbar}."""
+    w = L.w
+    return hi.pb(w.project("leq", -1), L.lam), hi.pb(w.project("geq", 0), L.lbar).scale(-1.0)
+
+
+T0_LOOPS = [hi.sample_loop(seed, nodes=K_, n=3 + seed % 6) for K_ in (32, 128) for seed in range(10)]
+
+
+def test_t0_matches_the_brackets_of_w():
+    for L in T0_LOOPS:
+        for got, ref in zip(hi.flow_rhs(L, ("t", 0)), w_bracket_t0(L)):
+            assert hi.field_dist(got, ref) <= 1e-13 * ref.max_abs(), L.nodes
+
+
+def test_t0_is_the_sbar1_flow_minus_the_s1_flow():
+    for L in T0_LOOPS:
+        t0 = hi.flow_rhs(L, ("t", 0))
+        s1, sb1 = hi.flow_rhs(L, ("s", 1)), hi.flow_rhs(L, ("sbar", 1))
+        for got, a, b in zip(t0, sb1, s1):
+            assert hi.field_dist(got, a - b) <= 1e-15 * got.max_abs(), L.nodes
+
+
+def test_t0_brackets_with_a_three_row_generator(monkeypatch):
+    # the generator lbar_{<=-1} - lam_{>=0}, then lam and lbar on their
+    # live rows: the sampled degrees -3..1 and -1..3 of 18 rows each
+    rows = []
+    real = hi._x_deriv_values
+    monkeypatch.setattr(hi, "_x_deriv_values", lambda v: rows.append(v.shape[0]) or real(v))
+    L = LOOPS[128]
+    dlam, dlbar = hi.flow_rhs(L, ("t", 0))
+    assert rows == [3, 5, 5] and L.lam.coeffs.shape[0] == L.lbar.coeffs.shape[0] == 18
+    # the fields keep the rows of the whole brackets with g
+    assert (dlam.lo, dlbar.lo) == (L.lam.lo - 1, -2)
+    assert (dlam.coeffs.shape[0], dlbar.coeffs.shape[0]) == (20, 20)
+    rows.clear()
+    hi.flow_rhs(L, ("s", 1))
+    assert rows == [2, 5, 5]
+
+
+@pytest.mark.parametrize("nodes", [32, 33, 128])
+def test_dealias_by_slice_is_byte_equal_to_the_mask(nodes):
+    rng = np.random.default_rng(nodes)
+    arr = rng.standard_normal((7, nodes)) + 1j * rng.standard_normal((7, nodes))
+    assert hi._dealias(arr).tobytes() == ref_dealias(arr).tobytes()
+
+
+# The arithmetic of every row: no live-row skipping, the dealias by mask
+# (ref_dealias), the row loop over the operand with fewer rows.
+
+
+def all_rows_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape[0] > b.shape[0]:
+        a, b = b, a
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1]), dtype=complex)
+    for i in range(a.shape[0]):
+        out[i : i + b.shape[0]] += a[i] * b
+    return out
+
+
+def all_rows_x_deriv(f: hi.LoopField) -> hi.LoopField:
+    k = f.nodes
+    return hi.LoopField(f.lo, np.fft.ifft(1j * hi._modes(k) * np.fft.fft(f.coeffs, axis=1), axis=1))
+
+
+def all_rows_pb(f: hi.LoopField, fx: hi.LoopField, g: hi.LoopField) -> hi.LoopField:
+    raw = (all_rows_conv(f.zdz().coeffs, all_rows_x_deriv(g).coeffs)
+           - all_rows_conv(g.zdz().coeffs, fx.coeffs))
+    return hi.LoopField(f.lo + g.lo, ref_dealias(raw))
+
+
+def all_rows_power(f: hi.LoopField, n: int) -> hi.LoopField:
+    out = f
+    for _ in range(n - 1):
+        out = hi.LoopField(out.lo + f.lo, ref_dealias(all_rows_conv(out.coeffs, f.coeffs)))
+    return out
+
+
+def all_rows_rhs(L: hi.LoopPoint, flow):
+    if flow == "v":
+        return all_rows_x_deriv(L.lam), all_rows_x_deriv(L.lbar)
+    if flow == "u":
+        dl, db = all_rows_rhs(L, ("sbar", 1))
+        return dl.scale(-1.0), db.scale(-1.0)
+    kind, n = flow
+    if kind == "t":
+        gen = (hi.log_w_field(L) if n == -1 else hi.w_power_field(L, n + 1) if n < -1
+               else all_rows_power(L.w, n + 1))
+        lower, upper = gen.project("leq", -1), gen.project("geq", 0)
+    else:
+        f, part = (L.lam, ("geq", 0)) if kind == "s" else (L.lbar, ("leq", -1))
+        gen = lower = upper = all_rows_power(f, n).project(*part)
+    gx = all_rows_x_deriv(gen)
+    dlam = all_rows_pb(lower, hi._rows(gx, lower), L.lam)
+    dlbar = all_rows_pb(upper, hi._rows(gx, upper), L.lbar)
+    if kind != "t":
+        return dlam, dlbar
+    if n == -1:
+        return dlam + all_rows_x_deriv(L.lam), dlbar.scale(-1.0)
+    return dlam.scale(1.0 / (n + 1)), dlbar.scale(-1.0 / (n + 1))
+
+
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_live_rows_keep_the_bits_of_every_row(nodes):
+    # sampled loops carry zero rows at both band ends; an s1 step keeps
+    # lam's and an sbar1 step lbar's
+    L = LOOPS[nodes]
+    loops = [L, hi.rk4_step(L, ("s", 1), 1e-3), hi.rk4_step(L, ("sbar", 1), 1e-3)]
+    assert all(not P.lam.coeffs[0].any() and not P.lbar.coeffs[-1].any() for P in loops[:2])
+    flows = [("s", 1), ("s", 2), ("sbar", 1), ("sbar", 2), ("t", 1), "u", "v", ("t", -1), ("t", -2)]
+    for P in loops:
+        for flow in flows:
+            for got, ref in zip(hi.flow_rhs(P, flow), all_rows_rhs(P, flow)):
+                assert got.lo == ref.lo and got.coeffs.shape == ref.coeffs.shape, flow
+                assert np.array_equal(got.coeffs, ref.coeffs), flow
+
+
+def test_products_keep_the_rows_of_the_whole_product():
+    # live rows enter, the loop runs over the operand the row counts pick
+    L = LOOPS[32]
+    for f, g in [(L.w, L.w), (L.lam, L.lbar), (L.lbar, L.lam.project("geq", -1)),
+                 (L.lam, hi.zero_field(32))]:
+        got = f * g
+        ref = hi.LoopField(f.lo + g.lo, ref_dealias(all_rows_conv(f.coeffs, g.coeffs)))
+        assert got.lo == ref.lo and got.coeffs.shape == ref.coeffs.shape
+        assert np.array_equal(got.coeffs, ref.coeffs)
+
+
+# -- fail closed on a non-finite state -----------------------------------------
+
+
+def poisoned(L: hi.LoopPoint, slot: str, value: float) -> hi.LoopPoint:
+    lam, lbar = L.lam.coeffs.copy(), L.lbar.coeffs.copy()
+    (lam if slot == "lam" else lbar)[-3, 5] = value
+    return hi.LoopPoint(hi.LoopField(L.lam.lo, lam), hi.LoopField(L.lbar.lo, lbar))
+
+
+@pytest.mark.parametrize("flow", [("s", 1), ("t", 0), "v"], ids=["s1", "t0", "v"])
+def test_rk4_step_refuses_a_non_finite_state(flow):
+    cases = [(poisoned(L3, "lam", np.nan), 1e-3), (poisoned(L3, "lbar", np.inf), 1e-3),
+             (poisoned(L3, "lbar", np.nan), 1e-3), (L3, np.nan), (L3, np.inf)]
+    for L, h in cases:
+        with pytest.raises(hi.BlowUp, match="non-finite"):
+            hi.rk4_step(L, flow, h)
+    # the trajectory stops at its first step, under numpy's default handling
+    with np.errstate(all="ignore"), pytest.raises(hi.BlowUp):
+        hi.integrate(poisoned(L3, "lbar", np.nan), flow, 2e-3, 1e-3)
+
+
+def test_step_count_refuses_zero_and_non_finite_steps():
+    for T, h in [(0.1, 0.0), (0.1, -0.0), (np.inf, 0.01), (np.nan, 0.01), (0.1, np.nan),
+                 (0.1, np.inf), (1e300, 1e-300)]:
+        with pytest.raises(ValueError, match=r"whole number of steps h"):
+            hi.step_count(T, h)

@@ -496,6 +496,46 @@ def test_stacked_ring_operations_act_row_by_row():
         assert F.coeff(-1)[k] == f.coeff(-1)
 
 
+
+# -- non-finite operands -------------------------------------------------
+# Under numpy's default handling a NaN or inf only warns and the arithmetic
+# goes on (np.errstate models that here), so the guards must refuse it.
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)], ids=["nan", "inf", "nan+1j"])
+def test_circle_ops_refuse_non_finite_operands(bad):
+    good = LS(-1, [0.2, 2.0, 0.3])
+    poison = LS(-1, [0.2, 2.0, bad])
+    stacked = stack_of(good, poison)
+    refusals = [
+        # a non-finite numerator reaches the tail check, a divisor the modulus check
+        (la.TruncationLoss, lambda: la.divide_on_circle(poison, good, -20, 20)),
+        (la.ZeroOnCircle, lambda: la.divide_on_circle(good, poison, -20, 20)),
+        (la.ZeroOnCircle, lambda: la.reciprocal_on_circle(poison, -20, 20)),
+        (la.ZeroOnCircle, lambda: la.log_on_circle(poison, -20, 20)),
+    ]
+    stacked_refusals = [
+        (la.TruncationLoss, lambda: la.divide_on_circle(stacked, good, -20, 20)),
+        (la.ZeroOnCircle, lambda: la.divide_on_circle(good, stacked, -20, 20)),
+        (la.ZeroOnCircle, lambda: la.log_on_circle(stacked, -20, 20)),
+    ]
+    with np.errstate(all="ignore"):
+        for exc, op in refusals:
+            with pytest.raises(exc, match=r"^non-finite (coefficients|values) on "):
+                op()
+        for exc, op in stacked_refusals:
+            with pytest.raises(exc, match=r"^non-finite .*\(row 1\)$"):
+                op()
+        # the phase unwrap on its own refuses a NaN (an inf keeps the phase
+        # numpy gives it; log_on_circle refuses it before the unwrap)
+        values = np.exp(2j * np.pi * np.arange(8) / 8) + 2.0
+        values[3] = bad
+        if np.isnan(bad):
+            with pytest.raises(la.ZeroOnCircle, match=r"non-finite"):
+                la.unwrap_on_circle(values)
+    # finite operands still certify
+    assert la.divide_on_circle(good, good, -20, 20).max_abs() == pytest.approx(1.0)
+
 # -- serialization -----------------------------------------------------
 
 
