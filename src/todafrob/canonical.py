@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laurent as la
-from .manifold import Point, Tangent, tan_mul
+from .manifold import Point, Tangent, metric_tangent, tan_mul
 
 
 @dataclass(frozen=True)
@@ -82,29 +82,6 @@ def du_grid(pt: Point, m: int, x: Tangent):
     return _du(lp, bp, la.grid_eval(x.a, m), la.grid_eval(x.ab, m))
 
 
-def mu_pair(pt: Point, p, x: Tangent):
-    """<dmu(p), x> = a(p)/lam'(p) - ab(p)/lbar'(p); du = -(lam' lbar'/w') dmu."""
-    p = np.asarray(p, dtype=complex)
-    lp, bp = pt.lam_p.evaluate(p), pt.lbar_p.evaluate(p)
-    a, ab = x.a.evaluate(p), x.ab.evaluate(p)
-    return a / lp - ab / bp
-
-
-def reconstruct_tangent(pt: Point, mu_values: np.ndarray) -> Tangent:
-    """Rebuild x from samples of <dmu(p), x> on the full circle grid.
-
-    The two expansions a/lam' and -ab/lbar' live in complementary
-    degree ranges, so a single projection splits them:
-    a = lam' [m]_{<=0}, ab = -lbar' [m]_{>=1}.
-    """
-    m = len(mu_values)
-    half = m // 2
-    full = la.grid_to_series(mu_values, -half, half - 1)
-    a = pt.lam_p * full.project("leq", 0)
-    ab = pt.lbar_p.scale(-1.0) * full.project("geq", 1)
-    return Tangent(a.project("leq", 0), ab.project("geq", -1))
-
-
 def semisimplicity_residual(pt: Point, x: Tangent, y: Tangent, m: int = 256) -> float:
     """max_p |<du(p), x . y> - <du(p), x><du(p), y>| over the m-th roots
     of unity, by du_grid: lam' and lbar' are evaluated there once."""
@@ -114,33 +91,47 @@ def semisimplicity_residual(pt: Point, x: Tangent, y: Tangent, m: int = 256) -> 
     return float(np.max(np.abs(cxy - cx * cy)))
 
 
-def metric_diagonality_residual(pt: Point, x: Tangent, y: Tangent, m: int = 512) -> complex:
-    """<x, y> - (1/2 pi i) contour of <du(p),x><du(p),y>/f(p) dp."""
-    from .manifold import metric_tangent
-
-    data = canonical_data(pt, m)
+def metric_diagonality_residual(pt: Point, x: Tangent, y: Tangent) -> complex:
+    """<x, y> - (1/2 pi i) contour of <du(p),x><du(p),y>/f(p) dp on the
+    512-point circle grid."""
+    data = canonical_data(pt, 512)
     cx = du_pair(pt, data.p, x)
     cy = du_pair(pt, data.p, y)
     witness = la.contour_mean(cx * cy / data.f)
     return metric_tangent(pt, x, y) - witness
 
 
+def flow_tag(flow) -> tuple[str, int | None]:
+    """The kind and order of a flow tag: ("s", n) or ("sbar", n) with an
+    int n >= 1, ("t", a) with an int a, or "u" or "v" (order None).  Any
+    other tag, a bool order included, raises ValueError naming it."""
+    if flow in ("u", "v"):
+        return flow, None
+    if isinstance(flow, tuple) and len(flow) == 2:
+        kind, n = flow
+        if type(n) is int and (kind == "t" or (kind in ("s", "sbar") and n >= 1)):
+            return kind, n
+    raise ValueError(f"unknown flow {flow!r}; expected ('s', n), ('sbar', n) with "
+                     f"an int n >= 1, ('t', a) with an int a, 'u' or 'v'")
+
+
 def char_velocities(pt: Point, flow, m: int | None = None) -> np.ndarray:
     """Characteristic velocities at the m-th roots of unity for one flow,
     by inverse FFT.
 
-    flow is ("t", i), "u", "v", ("s", n) or ("sbar", n).  The Lax-sector
-    velocities carry no 1/n: they are z d/dz of the Lax generators
-    (lam^n)_{>=0} and (lbar^n)_{<0}, matching the flows themselves.  A
-    primary velocity is -p <du(p), x> for x = ((w^i w')_{<0},
-    (w^i w')_{>=0}).  A stacked point gets a row of velocities per point.
+    flow is a tag that flow_tag accepts: ("t", i), "u", "v", ("s", n) or
+    ("sbar", n).  The Lax-sector velocities carry no 1/n: they are z d/dz
+    of the Lax generators (lam^n)_{>=0} and (lbar^n)_{<0}, matching the
+    flows themselves.  A primary velocity is -p <du(p), x> for
+    x = ((w^i w')_{<0}, (w^i w')_{>=0}).  A stacked point gets a row of
+    velocities per point.
     """
+    kind, n = flow_tag(flow)
     m = m or max(pt.quad_m(8), 256)
-    if flow == "u":
+    if kind == "u":
         return np.divide.outer(pt.ubarm1, la.unit_roots(m))
-    if flow == "v":
+    if kind == "v":
         return np.ones(m, dtype=complex)
-    kind, n = flow
     if kind == "t":
         lp, bp = pt.derivatives_on_grid(m)
         f = pt.w_pow(n) * pt.w_p
@@ -149,8 +140,6 @@ def char_velocities(pt: Point, flow, m: int | None = None) -> np.ndarray:
         return -la.unit_roots(m) * _du(lp, bp, minus, plus)
     if kind == "s":
         gen = (pt.lam**n).derivative().shift(1).project("geq", 0)
-        return la.grid_eval(gen, m)
-    if kind == "sbar":
+    else:
         gen = (pt.lbar**n).derivative().shift(1).project("leq", -1)
-        return la.grid_eval(gen, m)
-    raise ValueError(f"unknown flow {flow!r}")
+    return la.grid_eval(gen, m)

@@ -14,7 +14,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -107,7 +106,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     suites: list = field(default_factory=list)
     outdir: str = "."
-    parallel: bool = False
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -144,8 +142,7 @@ def _number(key: str, val, kind=float, lo=None, strict=False):
 
 
 # The other settings: type and wording.
-_KINDS = {"tolerances": (dict, "an object"), "suites": (list, "a list"),
-          "outdir": (str, "a string"), "parallel": (bool, "true or false")}
+_KINDS = {"tolerances": (dict, "an object"), "suites": (list, "a list"), "outdir": (str, "a string")}
 
 
 def _setting(key: str, val):
@@ -194,18 +191,16 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def parse_flow_tag(text: str):
-    if text in ("u", "v"):
-        return text
-    m = re.fullmatch(r"s(\d+)", text)
-    if m:
-        return ("s", int(m.group(1)))
-    m = re.fullmatch(r"sbar(\d+)", text)
-    if m:
-        return ("sbar", int(m.group(1)))
-    m = re.fullmatch(r"t:(-?\d+)", text)
-    if m:
-        return ("t", int(m.group(1)))
-    raise ConfigError(f"unknown flow {text!r}; expected s<n>, sbar<n>, t:<a>, u, v")
+    """The flow tag of s<n>, sbar<n> (n >= 1), t:<a>, u or v, checked by
+    ca.flow_tag; anything else is a ConfigError."""
+    m = re.fullmatch(r"(s|sbar|t:)(-?\d+)", text)
+    flow = (m.group(1).rstrip(":"), int(m.group(2))) if m else text
+    try:
+        ca.flow_tag(flow)
+    except ValueError:
+        raise ConfigError(f"unknown flow {text!r}; expected s<n>, sbar<n> with n >= 1, "
+                          f"t:<a>, u, v") from None
+    return flow
 
 
 # -- verify ----------------------------------------------------------------
@@ -224,11 +219,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         sizes = {kw: getattr(cfg, f) for kw, f in vf.SUITES[name].sizes.items()}
         return vf.run_suite(name, seed, cfg.tolerances.get(name), **sizes)
 
-    if cfg.parallel:
-        with ThreadPoolExecutor(max_workers=min(4, len(names))) as ex:
-            results = list(ex.map(run, names))
-    else:
-        results = [run(name) for name in names]
+    results = [run(name) for name in names]
 
     for r in results:
         print(r.line())
@@ -385,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--suites", help="comma-separated suite names")
     sv.add_argument("--tol", action="append", default=[],
                     metavar="SUITE=VALUE", help="override a suite tolerance")
-    sv.add_argument("--parallel", action="store_true",
-                    help="run suites concurrently")
 
     sg = sub.add_parser("gram", help="export the flat Gram matrix as CSV")
     common(sg)
@@ -431,8 +420,6 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             hi.step_count(flags["T"], flags["h"])
         except ValueError as e:
             raise ConfigError(str(e)) from None
-    if flags.get("parallel"):
-        cfg.parallel = True
     if flags.get("suites"):
         cfg.suites = _setting("suites", [s.strip() for s in args.suites.split(",")
                                          if s.strip()])

@@ -27,6 +27,9 @@ class NewtonDiverged(ArithmeticError):
     """Inversion of the chart map failed to converge."""
 
 
+NEWTON_ITERATIONS = 60
+
+
 def _log_ratio_grid(w: LS, w_p: LS, m: int, row0: int = 0):
     """Samples of log(z/w), w and w' on the m-point circle grid."""
     wv = la.grid_eval(w, m)
@@ -92,16 +95,15 @@ def point_from_flat(
     u: complex,
     v: complex,
     band_n: int = 32,
-    grid_size: int | None = None,
     tol: float = 1e-13,
-    max_iter: int = 60,
     widen: tuple[int, ...] = (),
 ) -> Point:
     """Rebuild the point with chart data (t, u, v).
 
-    Solves w * exp(phi(w)) = z, phi(w) = sum t_n w^n, per grid node by
-    damped Newton seeded at w = z, then reconstructs (lam, lbar) from
-    the recovered w series and the fiber coordinates u, v.  phi and phi'
+    Solves w * exp(phi(w)) = z, phi(w) = sum t_n w^n, per node of the
+    grid la.default_grid_size(2 * band_n) by damped Newton seeded at
+    w = z, in at most NEWTON_ITERATIONS steps, then reconstructs (lam, lbar)
+    from the recovered w series and the fiber coordinates u, v.  phi and phi'
     come from one Horner pass over the dense coefficients (in w for
     n >= 0, in 1/w for n < 0), once per damping trial; the accepted
     trial's exp(phi) and phi' serve the next Newton step.
@@ -111,11 +113,11 @@ def point_from_flat(
     refusal of the last one propagates and names its band.
     """
     return la.first_certified(
-        lambda n: _point_on_band(t, u, v, n, grid_size, tol, max_iter), (band_n, *widen))
+        lambda n: _point_on_band(t, u, v, n, tol), (band_n, *widen))
 
 
-def _point_on_band(t, u, v, band_n, grid_size, tol, max_iter) -> Point:
-    m = grid_size or la.default_grid_size(2 * band_n)
+def _point_on_band(t, u, v, band_n, tol) -> Point:
+    m = la.default_grid_size(2 * band_n)
     zs = la.unit_roots(m)
     ns = np.array(sorted(t.keys()), dtype=int)
     cs = np.array([t[int(n)] for n in ns], dtype=complex)
@@ -126,7 +128,7 @@ def _point_on_band(t, u, v, band_n, grid_size, tol, max_iter) -> Point:
         e = np.exp(f)
         g = wv * e - zs
         err = float(np.max(np.abs(g)))
-        for _ in range(max_iter):
+        for _ in range(NEWTON_ITERATIONS):
             if err < tol:
                 break
             if not np.isfinite(err) or err > 1e8:
@@ -149,7 +151,7 @@ def _point_on_band(t, u, v, band_n, grid_size, tol, max_iter) -> Point:
                     raise NewtonDiverged(f"no descent from residual {err:.3e}")
             wv, e, g, err = cand, ec, gc, cand_err
         else:
-            raise NewtonDiverged(f"residual {err:.3e} after {max_iter} iterations")
+            raise NewtonDiverged(f"residual {err:.3e} after {NEWTON_ITERATIONS} iterations")
 
     half = m // 2
     full = la.grid_to_series(wv, -half, half - 1)
@@ -187,21 +189,21 @@ def flat_differential(pt: Point, n: int) -> Cotangent:
     )
 
 
-def jacobian_t_w(pt: Point, n: int, m_deg: int, grid_size: int | None = None) -> complex:
+def jacobian_t_w(pt: Point, n: int, m_deg: int) -> complex:
     """d t_n / d w_m = -(1/2 pi i) contour of w^{-n-1} z^{m-1} dz."""
-    m = grid_size or max(pt.quad_m(8 * (abs(n) + 1)), 1024)
+    m = max(pt.quad_m(8 * (abs(n) + 1)), 1024)
     zs = la.unit_roots(m)
     wv = la.grid_eval(pt.w, m)
     return -la.contour_mean(wv ** (-n - 1) * zs ** (m_deg - 1))
 
 
-def log_ratio_pairing(pt: Point, grid_size: int | None = None) -> complex:
+def log_ratio_pairing(pt: Point) -> complex:
     """(1/2 pi i) contour of (w/z) log(w/z) dz.
 
     Equals (1/2) sum_{i+j=-1} t_i t_j - t_{-1}; used as a scalar
     consistency check of the chart and inside the potential.
     """
-    m = grid_size or max(pt.quad_m(16), 1024)
+    m = max(pt.quad_m(16), 1024)
     h, wv, _ = _log_ratio_grid(pt.w, pt.w_p, m)
     zs = la.unit_roots(m)
     return la.contour_mean(-(wv / zs) * h)

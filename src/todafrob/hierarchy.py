@@ -421,36 +421,27 @@ def sample_loop(
     band: int = DEFAULT_N,
     n: int = 3,
     scale: float = 0.05,
-    rho: float = 0.3,
     mmax: int = 3,
-    mrho: float = 0.4,
-    real: bool = False,
 ) -> LoopPoint:
     """Random loop with z-support in [-n, n] inside the retained band and
-    x-modes up to mmax; kept small so spectral tails stay negligible."""
+    x-modes up to mmax; kept small so spectral tails stay negligible: the
+    degree-d rows scale as 0.3^|d| and the x-mode m as 0.4^m."""
     rng = np.random.default_rng(seed)
     x = 2.0 * np.pi * np.arange(nodes) / nodes
 
     def wave(amp: float) -> np.ndarray:
         out = np.zeros(nodes, dtype=complex)
         for m in range(1, mmax + 1):
-            if real:
-                c = rng.standard_normal() * np.cos(m * x)
-                s = rng.standard_normal() * np.sin(m * x)
-                out = out + amp * mrho**m * (c + s)
-            else:
-                cp = rng.standard_normal() + 1j * rng.standard_normal()
-                cm = rng.standard_normal() + 1j * rng.standard_normal()
-                out = out + amp * mrho**m * (
-                    cp * np.exp(1j * m * x) + cm * np.exp(-1j * m * x)
-                )
+            cp = rng.standard_normal() + 1j * rng.standard_normal()
+            cm = rng.standard_normal() + 1j * rng.standard_normal()
+            out = out + amp * 0.4**m * (cp * np.exp(1j * m * x) + cm * np.exp(-1j * m * x))
         return out
 
     lam_rows = np.zeros((band + 2, nodes), dtype=complex)
     lam_rows[-1] = 1.0
     lam_rows[-2] = wave(2.0 * scale)
     for d in range(-n, 0):
-        lam_rows[band + d] = wave(scale * rho ** (-d))
+        lam_rows[band + d] = wave(scale * 0.3 ** (-d))
     # keep the u wave gentle: exp(u) excites every x-mode and the edge of
     # the retained spectrum must stay below 1e-10
     u = -2.6 + 0.1 * rng.standard_normal() + wave(0.5 * scale)
@@ -459,34 +450,10 @@ def sample_loop(
     lbar_rows[0] = np.exp(u)
     lbar_rows[1] = v
     for d in range(1, n + 1):
-        lbar_rows[1 + d] = wave(scale * rho**d)
+        lbar_rows[1 + d] = wave(scale * 0.3**d)
     return LoopPoint(
         LoopField(-band, _dealias(lam_rows)), LoopField(-1, _dealias(lbar_rows))
     )
-
-
-def sample_loop_cotangent(
-    seed, nodes: int = DEFAULT_K, n: int = 4, scale: float = 0.3,
-    mmax: int = 3, mrho: float = 0.5,
-) -> LoopCotangent:
-    rng = np.random.default_rng(seed)
-    x = 2.0 * np.pi * np.arange(nodes) / nodes
-
-    def rows(lo: int, hi: int) -> LoopField:
-        out = np.zeros((hi - lo + 1, nodes), dtype=complex)
-        for i, d in enumerate(range(lo, hi + 1)):
-            amp = scale * 0.6 ** abs(d)
-            row = amp * (rng.standard_normal() + 1j * rng.standard_normal())
-            acc = np.full(nodes, row, dtype=complex)
-            for m in range(1, mmax + 1):
-                c = rng.standard_normal() + 1j * rng.standard_normal()
-                acc = acc + amp * mrho**m * c * np.exp(1j * m * x)
-                c = rng.standard_normal() + 1j * rng.standard_normal()
-                acc = acc + amp * mrho**m * c * np.exp(-1j * m * x)
-            out[i] = acc
-        return LoopField(lo, out)
-
-    return LoopCotangent(rows(-1, n), rows(-n, 0))
 
 
 # -- tails and trimming ------------------------------------------------
@@ -508,7 +475,9 @@ def tangent_part(L: LoopPoint, dlam: LoopField, dlbar: LoopField):
     Each field's row maxima are read once, for the scale, the trim and
     the defect."""
     top_a, top_ab = (np.abs(f.coeffs).max(axis=1) for f in (dlam, dlbar))
-    scale = max(top_a.max(), top_ab.max(), 1e-300)
+    # np.max keeps a NaN of either field (max keeps only the first's), so
+    # a NaN anywhere makes the defect NaN
+    scale = np.max((top_a.max(), top_ab.max(), 1e-300))
     a, a_out = _window(dlam, top_a, L.lam.lo, 0)
     ab, ab_out = _window(dlbar, top_ab, -1, L.lbar.hi)
     return LoopTangent(a, ab), float(max(a_out, ab_out) / scale)
@@ -627,7 +596,8 @@ def log_w_field(L: LoopPoint) -> LoopField:
 def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
     """Raw right-hand side fields for a named flow, before band trimming.
 
-    Tags: ("s", n), ("sbar", n), ("t", alpha), "u", "v".
+    Tags: ("s", n), ("sbar", n), ("t", alpha), "u", "v", as ca.flow_tag
+    accepts them; any other tag raises ValueError.
 
     t_alpha for alpha >= 0 brackets lam with (w ** (alpha+1))_{<=-1} and
     lbar with -(w ** (alpha+1))_{>=0}, both over alpha+1.  At alpha = 0
@@ -641,12 +611,12 @@ def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
     Every bracket works on the live rows of its operands (_live_product):
     lam and lbar carry exactly-zero rows at their band ends, which add
     nothing.  The fields keep the rows of the whole bracket."""
-    if flow == "v":
+    kind, n = ca.flow_tag(flow)
+    if kind == "v":
         return L.lam.x_deriv(), L.lbar.x_deriv()
-    if flow == "u":
+    if kind == "u":
         dl, db = flow_rhs(L, ("sbar", 1))
         return dl.scale(-1.0), db.scale(-1.0)
-    kind, n = flow
     if kind == "t" and n == 0:
         gen = lower = upper = L.lbar.project("leq", -1) - L.lam.project("geq", 0)
     elif kind == "t":
@@ -654,10 +624,8 @@ def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
         lower, upper = gen.project("leq", -1), gen.project("geq", 0)
     elif kind == "s":
         gen = lower = upper = _power_part(L.lam, n, "geq", 0)
-    elif kind == "sbar":
-        gen = lower = upper = _power_part(L.lbar, n, "leq", -1)
     else:
-        raise ValueError(f"unknown flow {flow!r}")
+        gen = lower = upper = _power_part(L.lbar, n, "leq", -1)
     # both brackets read the generator's x-derivative, taken once
     gx = gen.x_deriv()
     dlam = _pb(lower, _rows(gx, lower), L.lam)
@@ -672,16 +640,11 @@ def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
 
 def _flow_tangent(L: LoopPoint, flow) -> LoopTangent:
     """The flow's tangent at L, refused when trimming it to the tangent
-    windows discards more than TAIL_LIMIT of it."""
+    windows discards more than TAIL_LIMIT of it, or a NaN share."""
     t, defect = tangent_part(L, *flow_rhs(L, flow))
-    if defect > TAIL_LIMIT:
+    if not defect <= TAIL_LIMIT:
         raise TailOverflow(f"flow field defect {defect:.3e} beyond tolerance")
     return t
-
-
-def primary_rhs(L: LoopPoint, flow) -> LoopTangent:
-    tag = flow if flow in ("u", "v") or isinstance(flow, tuple) else ("t", flow)
-    return _flow_tangent(L, tag)
 
 
 # -- Hamiltonians ------------------------------------------------------
@@ -780,42 +743,42 @@ def recursion_residual(L: LoopPoint, n: int, bar: bool = False) -> float:
     return max(rec, direct)
 
 
-def primary_gradient_fd(L: LoopPoint, which, eps: float = 1e-6, pad: int = 12) -> LoopCotangent:
+def primary_gradient_fd(L: LoopPoint, which) -> LoopCotangent:
     """Gradient of the primary Hamiltonian (x-average of the matching
-    first derivative of the potential) by nodewise centered differences
-    in the loop coefficients."""
+    first derivative of the potential) by centered differences of step
+    1e-6 in the loop coefficients, on each slot's band and 12 degrees
+    beyond its open end.  Each bump moves one coefficient at every node
+    at once, and the derivative of the potential is evaluated once per
+    bump on the stacked point of the loop."""
     if which == "u":
         func = po.dF_du
     elif which == "v":
         func = po.dF_dv
     else:
-        alpha = which
 
         def func(pt):
-            return po.dF_dt(pt, alpha)
+            return po.dF_dt(pt, which)
 
-    nodes = L.nodes
-    lam_lo = L.lam.lo - pad
-    bar_hi = L.lbar.hi + pad
-    # slot 1 carries degrees -1 .. -1-lam_lo, slot 2 degrees -1-bar_hi .. 0;
-    # the degree -1-d component is the derivative along coefficient d
-    w1 = np.zeros((1 - lam_lo, nodes), dtype=complex)
-    w2 = np.zeros((bar_hi + 2, nodes), dtype=complex)
-    for k in range(nodes):
-        pt = mf.Point(LS(L.lam.lo, L.lam.coeffs[:, k]), LS(L.lbar.lo, L.lbar.coeffs[:, k]))
-        for d in range(lam_lo, 1):
-            bump = LS.monomial(d, eps)
-            hi = func(mf.Point(pt.lam + bump, pt.lbar))
-            lo = func(mf.Point(pt.lam - bump, pt.lbar))
-            w1[-d, k] = (hi - lo) / (2.0 * eps)
-        for d in range(-1, bar_hi + 1):
-            bump = LS.monomial(d, eps)
-            hi = func(mf.Point(pt.lam, pt.lbar + bump))
-            lo = func(mf.Point(pt.lam, pt.lbar - bump))
-            w2[bar_hi - d, k] = (hi - lo) / (2.0 * eps)
-    return LoopCotangent(
-        LoopField(-1, w1).trim(), LoopField(-1 - bar_hi, w2).trim()
-    )
+    eps = 1e-6
+    lam, lbar = _nodes(L.lam), _nodes(L.lbar)
+
+    def diff(d: int, slot: int) -> np.ndarray:
+        """The centered difference along the degree-d coefficient of lam
+        (slot 0) or lbar (slot 1), one value per node."""
+        bump = LS.monomial(d, eps)
+        if slot == 0:
+            ends = mf.Point(lam + bump, lbar), mf.Point(lam - bump, lbar)
+        else:
+            ends = mf.Point(lam, lbar + bump), mf.Point(lam, lbar - bump)
+        return (func(ends[0]) - func(ends[1])) / (2.0 * eps)
+
+    # the degree -1-d component of the gradient is the derivative along
+    # coefficient d: slot 1 runs over degrees -1 .. -1-lam_lo, slot 2 over
+    # -1-bar_hi .. 0
+    lam_lo, bar_hi = L.lam.lo - 12, L.lbar.hi + 12
+    w1 = np.array([diff(d, 0) for d in range(0, lam_lo - 1, -1)])
+    w2 = np.array([diff(d, 1) for d in range(bar_hi, -2, -1)])
+    return LoopCotangent(LoopField(-1, w1).trim(), LoopField(-1 - bar_hi, w2).trim())
 
 
 # -- time stepping -----------------------------------------------------
@@ -941,9 +904,9 @@ def integrate(L: LoopPoint, flow, T: float, h: float, record_every: int = 10):
 # -- transport in canonical coordinates --------------------------------
 
 
-def transport_residual(L: LoopPoint, flow, m_p: int = 64, velocity=None) -> float:
+def transport_residual(L: LoopPoint, flow, velocity=None) -> float:
     """Residual of d_t u_sigma = A(sigma) d_x u_sigma for a named flow,
-    at the m_p-th roots of unity.
+    at the 64th roots of unity.
 
     Both derivatives are taken at fixed sigma.  The critical-point
     relation sigma*lbar' + (sigma-1)*lam' = 0 kills the dp/dx terms in
@@ -953,7 +916,8 @@ def transport_residual(L: LoopPoint, flow, m_p: int = 64, velocity=None) -> floa
     Every node is evaluated at once, on the stacked point of the loop,
     by inverse FFT (ca.du_grid, ca.char_velocities); lam' and lbar' are
     evaluated once for the pairings and the velocity.  A callable
-    velocity is called as velocity(pt, m_p) with that point."""
+    velocity is called as velocity(pt, 64) with that point."""
+    m_p = 64
     pt = _node_points(L)
     t, _ = tangent_part(L, *flow_rhs(L, flow))
     tv, _ = tangent_part(L, *flow_rhs(L, "v"))
@@ -976,9 +940,3 @@ def loop_to_json_dict(L: LoopPoint) -> dict:
 
     return {"nodes": L.nodes, "lam": pack(L.lam), "lbar": pack(L.lbar)}
 
-
-def loop_from_json_dict(d: dict) -> LoopPoint:
-    def unpack(p: dict) -> LoopField:
-        return LoopField(p["lo"], np.asarray(p["re"]) + 1j * np.asarray(p["im"]))
-
-    return LoopPoint(unpack(d["lam"]), unpack(d["lbar"]))

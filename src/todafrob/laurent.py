@@ -15,7 +15,6 @@ certified on its own (a refusal names the worst row of its row block).
 
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache
 
@@ -242,13 +241,6 @@ class LaurentSeries:
         degs = np.arange(self.lo, self.hi + 1)
         return LaurentSeries(self.lo - 1, degs * self.c)
 
-    def z_derivative(self) -> "LaurentSeries":
-        """z d/dz: multiplies the degree-d coefficient by d."""
-        if self.is_zero:
-            return self
-        degs = np.arange(self.lo, self.hi + 1)
-        return LaurentSeries(self.lo, degs * self.c)
-
     def residue(self) -> complex:
         """Coefficient extraction form of (1/2 pi i) contour integral."""
         return self.coeff(-1)
@@ -367,10 +359,10 @@ def _row_max(vals: np.ndarray, row0: int, message: str):
 # -- certified circle operations --------------------------------------
 
 
-def _certify(vals: np.ndarray, lo: int, hi: int, tail_tol: float, row0: int) -> np.ndarray:
+def _certify(vals: np.ndarray, lo: int, hi: int, row0: int) -> np.ndarray:
     """Coefficients on [lo, hi] from grid values, recovered on the m degrees
     centered on [lo, hi]; a row is refused when its dropped tail is not
-    below tail_tol times that row's own largest coefficient."""
+    below DEFAULT_TAIL_TOL times that row's own largest coefficient."""
     m = vals.shape[-1]
     wlo = (lo + hi) // 2 - m // 2
     whi = wlo + m - 1
@@ -379,25 +371,20 @@ def _certify(vals: np.ndarray, lo: int, hi: int, tail_tol: float, row0: int) -> 
     degs = np.arange(wlo, whi + 1)
     gmax = np.maximum(mag.max(axis=-1), 1e-300)
     tail = mag[..., (degs < lo) | (degs > hi)].max(axis=-1, initial=0.0)
-    _refuse(TruncationLoss, ~(tail <= tail_tol * gmax), tail / gmax, row0, lambda k: (
-        f"tail {np.ravel(tail)[k]:.3e} exceeds {tail_tol:.1e} * max-coefficient on [{lo},{hi}]"
+    _refuse(TruncationLoss, ~(tail <= DEFAULT_TAIL_TOL * gmax), tail / gmax, row0, lambda k: (
+        f"tail {np.ravel(tail)[k]:.3e} exceeds {DEFAULT_TAIL_TOL:.1e} * max-coefficient on [{lo},{hi}]"
         if _finite(gmax, k) else f"non-finite coefficients on [{lo},{hi}]"))
     return full.window(lo, hi)
 
 
 def divide_on_circle(
-    num: LaurentSeries,
-    den: LaurentSeries,
-    lo: int,
-    hi: int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    grid_size: int | None = None,
+    num: LaurentSeries, den: LaurentSeries, lo: int, hi: int, grid_size: int | None = None
 ) -> LaurentSeries:
     """Certified num/den on the band [lo, hi], row by row for stacks.
 
     Samples both operands on the grid, divides pointwise, reconstructs
     on a window of full grid length, and checks that everything dropped
-    outside [lo, hi] sits below tail_tol relative to the largest
+    outside [lo, hi] sits below DEFAULT_TAIL_TOL relative to the largest
     recovered coefficient.  The returned truncation is re-checked
     against the defining equation den*g = num on the grid.
     """
@@ -407,7 +394,7 @@ def divide_on_circle(
         den_vals = grid_eval(den, m)
         dmax = _row_max(den_vals, row0, "divisor vanishes on the unit circle")
         num_vals = grid_eval(num, m)
-        g = _certify(num_vals / den_vals, lo, hi, tail_tol, row0)
+        g = _certify(num_vals / den_vals, lo, hi, row0)
         resid = np.abs(grid_eval(LaurentSeries(lo, g), m) * den_vals - num_vals).max(axis=-1)
         gmax = np.abs(g).max(axis=-1)
         scale = np.maximum(np.abs(num_vals).max(axis=-1), dmax * np.maximum(gmax, 1.0))
@@ -419,15 +406,9 @@ def divide_on_circle(
     return LaurentSeries(lo, by_row_blocks(rows, (num, den), m))
 
 
-def reciprocal_on_circle(
-    f: LaurentSeries,
-    lo: int,
-    hi: int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    grid_size: int | None = None,
-) -> LaurentSeries:
+def reciprocal_on_circle(f: LaurentSeries, lo: int, hi: int) -> LaurentSeries:
     """Certified 1/f on the band [lo, hi]."""
-    return divide_on_circle(LaurentSeries.one(), f, lo, hi, tail_tol, grid_size)
+    return divide_on_circle(LaurentSeries.one(), f, lo, hi)
 
 
 def unwrap_on_circle(values: np.ndarray, row0: int = 0):
@@ -437,13 +418,14 @@ def unwrap_on_circle(values: np.ndarray, row0: int = 0):
 
     Raises WindingUnresolved when any step between adjacent samples
     exceeds pi/2, i.e. when the grid is too coarse to track the phase.
-    A row holding a NaN is refused as ZeroOnCircle, and a NaN phase step
-    as WindingUnresolved, both naming the values as non-finite.
+    A row holding a NaN or an inf is refused as ZeroOnCircle, and a NaN
+    phase step as WindingUnresolved, both naming the values as non-finite.
     """
     values = np.asarray(values, dtype=complex)
-    vmin = np.abs(values).min(axis=-1)
-    _refuse(ZeroOnCircle, ~(vmin > 0.0), -vmin, row0, lambda k: (
-        "cannot unwrap a phase through zero" if _finite(vmin, k)
+    mag = np.abs(values)
+    vmin, vmax = mag.min(axis=-1), mag.max(axis=-1)
+    _refuse(ZeroOnCircle, ~((vmin > 0.0) & (vmax < np.inf)), -vmin, row0, lambda k: (
+        "cannot unwrap a phase through zero" if _finite(vmax, k)
         else "cannot unwrap the phase of non-finite values"))
     steps = np.angle(np.roll(values, -1, axis=-1) / values)
     jump = np.abs(steps).max(axis=-1)
@@ -570,13 +552,7 @@ def log_values_on_circle(values: np.ndarray, row0: int = 0) -> np.ndarray:
     return np.log(np.abs(values)) + 1j * phases
 
 
-def log_on_circle(
-    f: LaurentSeries,
-    lo: int,
-    hi: int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    grid_size: int | None = None,
-) -> LaurentSeries:
+def log_on_circle(f: LaurentSeries, lo: int, hi: int, grid_size: int | None = None) -> LaurentSeries:
     """Certified log f on [lo, hi] for winding-zero f, row by row for stacks.
 
     The branch is the principal logarithm at the first grid node,
@@ -587,7 +563,7 @@ def log_on_circle(
     def rows(f, row0):
         vals = grid_eval(f, m)
         fmax = _row_max(vals, row0, "logarithm of a function vanishing on the circle")
-        g = _certify(log_values_on_circle(vals, row0), lo, hi, tail_tol, row0)
+        g = _certify(log_values_on_circle(vals, row0), lo, hi, row0)
         resid = np.abs(np.exp(grid_eval(LaurentSeries(lo, g), m)) - vals).max(axis=-1)
         _refuse(TruncationLoss, ~(resid <= CERT_RESIDUAL_TOL * fmax), resid / fmax, row0, lambda k: (
             f"log residual {np.ravel(resid)[k]:.3e} not certified on [{lo},{hi}]"
@@ -640,29 +616,3 @@ def contour_mean(values: np.ndarray, radius: float = 1.0):
     mean = (values * (radius * unit_roots(values.shape[-1]))).mean(axis=-1)
     return complex(mean) if mean.ndim == 0 else mean
 
-
-# -- serialization ----------------------------------------------------
-
-
-def to_json_dict(f: LaurentSeries) -> dict:
-    return {
-        "lo": int(f.lo) if not f.is_zero else 0,
-        "re": [float(x) for x in np.real(f.c)],
-        "im": [float(x) for x in np.imag(f.c)],
-    }
-
-
-def from_json_dict(d: dict) -> LaurentSeries:
-    re = np.asarray(d["re"], dtype=float)
-    im = np.asarray(d["im"], dtype=float)
-    if len(re) != len(im):
-        raise ValueError("re/im length mismatch")
-    return LaurentSeries(int(d["lo"]), re + 1j * im)
-
-
-def dumps(f: LaurentSeries) -> str:
-    return json.dumps(to_json_dict(f), separators=(",", ":"))
-
-
-def loads(s: str) -> LaurentSeries:
-    return from_json_dict(json.loads(s))

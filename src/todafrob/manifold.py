@@ -96,6 +96,8 @@ class Point:
     def __init__(self, lam: LS, lbar: LS) -> None:
         _band_check(lam, None, 1, "lam")
         _band_check(lbar, -1, None, "lbar")
+        if not (np.isfinite(lam.c).all() and np.isfinite(lbar.c).all()):
+            raise ValueError("lam and lbar must have finite coefficients")
         c1 = lam.coeff(1)
         drift = np.max(np.abs(c1 - 1.0)) if lam.c.ndim == 2 else abs(c1 - 1.0)
         if drift > 1e-9:
@@ -134,8 +136,10 @@ class Point:
 
     @property
     def u(self) -> complex:
-        """log of the 1/z coefficient of lbar (principal branch)."""
-        return complex(np.log(self.ubarm1))
+        """log of the 1/z coefficient of lbar (principal branch); one per
+        row (an array) for a stack."""
+        u = np.log(self.ubarm1)
+        return u if self.lbar.c.ndim == 2 else complex(u)
 
     @property
     def v(self) -> complex:
@@ -211,13 +215,6 @@ class Point:
             return la.divide_on_circle(LS.one(), self.w**-m, -h + m, h + m)
 
         return self._get(("w_pow", m), build)
-
-    def to_json_dict(self) -> dict:
-        return {"lam": la.to_json_dict(self.lam), "lbar": la.to_json_dict(self.lbar)}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Point":
-        return Point(la.from_json_dict(d["lam"]), la.from_json_dict(d["lbar"]))
 
 
 # -- units and frames --------------------------------------------------
@@ -569,22 +566,22 @@ def sample_point(seed, n: int = 24, scale: float = 0.05, rho: float = 0.7) -> Po
     return Point(LS(-n, lam), LS(-1, lbar))
 
 
-def _decaying(seed, scale: float, rho: float, *bands) -> list:
-    """Random series on the given (lo, hi) bands, coefficients ~ rho^|d|."""
+def _decaying(seed, *bands) -> list:
+    """Random series on the given (lo, hi) bands, coefficients ~ 0.5 * 0.75^|d|."""
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     out = []
     for lo, hi in bands:
         degs = np.arange(lo, hi + 1)
-        c = scale * rho ** np.abs(degs) * (
+        c = 0.5 * 0.75 ** np.abs(degs) * (
             rng.standard_normal(len(degs)) + 1j * rng.standard_normal(len(degs))
         )
         out.append(LS(lo, c))
     return out
 
 
-def sample_tangent(seed, n: int = 12, scale: float = 0.5, rho: float = 0.75) -> Tangent:
-    return Tangent(*_decaying(seed, scale, rho, (-n, 0), (-1, n)))
+def sample_tangent(seed, n: int = 12) -> Tangent:
+    return Tangent(*_decaying(seed, (-n, 0), (-1, n)))
 
 
-def sample_cotangent(seed, n: int = 12, scale: float = 0.5, rho: float = 0.75) -> Cotangent:
-    return Cotangent(*_decaying(seed, scale, rho, (-1, n), (-n, 0)))
+def sample_cotangent(seed, n: int = 12) -> Cotangent:
+    return Cotangent(*_decaying(seed, (-1, n), (-n, 0)))

@@ -22,6 +22,8 @@ F_ROUNDING_TOL = 1e-8
 # The tolerance of the quasihomogeneity suite: E F is refused when the
 # rounding of its two values of F, over 2h, exceeds this times max(1, |E F|).
 EF_ROUNDING_TOL = 1e-6
+# The step of the centered difference along the Euler field.
+EULER_STEP = 1e-5
 
 
 def first_sum(pt: Point) -> complex:
@@ -33,9 +35,9 @@ def first_sum(pt: Point) -> complex:
     return -0.5 * total
 
 
-def _potential_sum(pt: Point, grid_size: int | None) -> tuple[complex, float]:
+def _potential_sum(pt: Point) -> tuple[complex, float]:
     """F and the bound 2^-52 sum |term| on the rounding of its term sum."""
-    p = log_ratio_pairing(pt, grid_size)
+    p = log_ratio_pairing(pt)
     u0, v, u = pt.u0, pt.v, pt.u
     terms = (
         first_sum(pt),
@@ -48,13 +50,13 @@ def _potential_sum(pt: Point, grid_size: int | None) -> tuple[complex, float]:
     return sum(terms[1:], terms[0]), 2.0**-52 * sum(abs(t) for t in terms)
 
 
-def potential_F(pt: Point, grid_size: int | None = None) -> complex:
+def potential_F(pt: Point) -> complex:
     """Value of the potential at the point.
 
     Refused (TruncationLoss) when the terms cancel so far that rounding,
     bounded by 2^-52 sum |term|, exceeds F_ROUNDING_TOL * max(1, |F|).
     """
-    F, bound = _potential_sum(pt, grid_size)
+    F, bound = _potential_sum(pt)
     if bound > F_ROUNDING_TOL * max(1.0, abs(F)):
         raise la.TruncationLoss(
             f"potential lost to cancellation: rounding bound {bound:.1e} above "
@@ -62,9 +64,9 @@ def potential_F(pt: Point, grid_size: int | None = None) -> complex:
     return F
 
 
-def dF_dv(pt: Point, grid_size: int | None = None) -> complex:
+def dF_dv(pt: Point) -> complex:
     """dF/dv = log-ratio pairing - u_0 - v + u v."""
-    p = log_ratio_pairing(pt, grid_size)
+    p = log_ratio_pairing(pt)
     return p - pt.u0 - pt.v + pt.u * pt.v
 
 
@@ -73,7 +75,7 @@ def dF_du(pt: Point) -> complex:
     return 0.5 * pt.v**2 + pt.ubarm1 * pt.ubar1
 
 
-def dF_dt(pt: Point, alpha: int, grid_size: int | None = None) -> complex:
+def dF_dt(pt: Point, alpha: int) -> complex:
     """dF/dt_alpha assembled from the chart velocity dw = -z w^alpha w'."""
     f = pt.w_pow(alpha) * pt.w_p  # w^alpha w'
     w = pt.w
@@ -85,7 +87,7 @@ def dF_dt(pt: Point, alpha: int, grid_size: int | None = None) -> complex:
         total += (dk * w.coeff(-k) + w.coeff(k) * dmk) / k
     quad = -0.5 * total
 
-    m = grid_size or max(pt.quad_m(16 + 8 * abs(alpha)), 1024)
+    m = max(pt.quad_m(16 + 8 * abs(alpha)), 1024)
     zs = la.unit_roots(m)
     wv = la.grid_eval(w, m)
     h = la.log_values_on_circle(wv / zs)
@@ -93,7 +95,7 @@ def dF_dt(pt: Point, alpha: int, grid_size: int | None = None) -> complex:
     dp = la.contour_mean(-fv * (h + 1.0))
 
     du0 = -1.0 if alpha == -1 else 0.0
-    p = log_ratio_pairing(pt, grid_size)
+    p = log_ratio_pairing(pt)
     mid = -0.5 * du0 * (p - pt.u0 - pt.v) + 0.5 * (pt.v - pt.u0) * (dp - du0)
     dum1 = -f.coeff(-2)
     dubar1 = -f.coeff(0)
@@ -147,8 +149,7 @@ def triple_flat(pt: Point, a, b, c) -> complex:
     return 0.0
 
 
-def trilinear_form(pt: Point, x1: Tangent, x2: Tangent, x3: Tangent,
-                   grid_size: int | None = None) -> complex:
+def trilinear_form(pt: Point, x1: Tangent, x2: Tangent, x3: Tangent) -> complex:
     """Symmetric trilinear form <x1 . x2, x3> on arbitrary variations."""
     xs = (x1, x2, x3)
     dw = [x.a + x.ab for x in xs]
@@ -156,7 +157,7 @@ def trilinear_form(pt: Point, x1: Tangent, x2: Tangent, x3: Tangent,
     s_p = (pt.lbar - pt.lam).derivative()
 
     width = sum((f.hi - f.lo) if not f.is_zero else 0 for f in dw)
-    m = grid_size or la.default_grid_size(width + 2 * pt.band_n + 16)
+    m = la.default_grid_size(width + 2 * pt.band_n + 16)
     zs = la.unit_roots(m)
     wpv = la.grid_eval(pt.w_p, m)
     dwv = [la.grid_eval(f, m) for f in dw]
@@ -185,17 +186,18 @@ def trilinear_form(pt: Point, x1: Tangent, x2: Tangent, x3: Tangent,
     return circle - res0
 
 
-def euler_derivative(pt: Point, h: float = 1e-5, grid_size: int | None = None) -> complex:
-    """E F by a centered difference along the Euler field.
+def euler_derivative(pt: Point) -> complex:
+    """E F by a centered difference of step h = EULER_STEP along the
+    Euler field.
 
     Refused (TruncationLoss) when the rounding bounds of the two values
     of F, divided by 2h, exceed EF_ROUNDING_TOL * max(1, |E F|).
     """
     ef = euler_field(pt)
-    fp, bp = _potential_sum(point_shift(pt, ef, h), grid_size)
-    fm, bm = _potential_sum(point_shift(pt, ef, -h), grid_size)
-    d = (fp - fm) / (2 * h)
-    bound = (bp + bm) / (2 * h)
+    fp, bp = _potential_sum(point_shift(pt, ef, EULER_STEP))
+    fm, bm = _potential_sum(point_shift(pt, ef, -EULER_STEP))
+    d = (fp - fm) / (2 * EULER_STEP)
+    bound = (bp + bm) / (2 * EULER_STEP)
     if bound > EF_ROUNDING_TOL * max(1.0, abs(d)):
         raise la.TruncationLoss(
             f"Euler derivative lost to cancellation: rounding bound {bound:.1e} "
@@ -203,30 +205,23 @@ def euler_derivative(pt: Point, h: float = 1e-5, grid_size: int | None = None) -
     return d
 
 
-def quasihomogeneity_residual(pt: Point, h: float = 1e-5,
-                              grid_size: int | None = None) -> complex:
+def quasihomogeneity_residual(pt: Point) -> complex:
     """E F - 2 F - (1/2)(ubar_0 - u_0) w_0 - ubar_0^2; zero on the manifold."""
-    ef = euler_derivative(pt, h, grid_size)
-    f = potential_F(pt, grid_size)
+    ef = euler_derivative(pt)
+    f = potential_F(pt)
     return ef - 2.0 * f - 0.5 * (pt.v - pt.u0) * pt.w.coeff(0) - pt.v**2
 
 
-def flat_fd_triple(
-    pt: Point,
-    labels,
-    h: float = 5e-3,
-    bands: tuple[int, ...] = (100, 140, 200),
-    chart_range: int = 60,
-    newton_tol: float = 3e-14,
-) -> complex:
+def flat_fd_triple(pt: Point, labels) -> complex:
     """Finite-difference triple derivative in the flat chart.
 
     Centered differences composed per direction, one Richardson step
-    (h and h/2) to cancel the quadratic error term.  Each chart rebuild
-    tries the half bands in turn and refuses only at the last (see
-    point_from_flat).
+    (h = 5e-3 and h/2) to cancel the quadratic error term, about the
+    chart t_-60 .. t_60 of pt.  Each chart rebuild solves to 3e-14 and
+    tries the half bands 100, 140 and 200 in turn, refusing only at the
+    last (see point_from_flat).
     """
-    t0 = flat_coordinates(pt, -chart_range, chart_range, grid_size=2048)
+    t0 = flat_coordinates(pt, -60, 60, grid_size=2048)
     cache: dict = {}
 
     def f_at(offsets_raw: list) -> complex:
@@ -241,7 +236,7 @@ def flat_fd_triple(
                     v = v + d
                 else:
                     t[lab] = t.get(lab, 0.0) + d
-            q = point_from_flat(t, u, v, band_n=bands[0], tol=newton_tol, widen=bands[1:])
+            q = point_from_flat(t, u, v, band_n=100, tol=3e-14, widen=(140, 200))
             cache[offsets] = potential_F(q)
         return cache[offsets]
 
@@ -259,6 +254,6 @@ def flat_fd_triple(
 
         return deriv(list(labels), [])
 
-    coarse = stencil(h)
-    fine = stencil(h / 2)
+    coarse = stencil(5e-3)
+    fine = stencil(5e-3 / 2)
     return (4.0 * fine - coarse) / 3.0

@@ -238,8 +238,8 @@ def _locus_table(u: float, v: float, kmax: int, acc: _Acc) -> None:
     acc.add(_lowered_mul(pt, low_u, low_u).dist(frame[-1].scale(eu)))
 
 
-def _reduced_table(kmax: int, acc: _Acc, v: float = -0.2) -> None:
-    """Deep fiber limit of the locus algebra.
+def _reduced_table(kmax: int, acc: _Acc) -> None:
+    """Deep fiber limit of the locus algebra, at v = -0.2.
 
     The boundary point itself has a vanishing 1/z coefficient and lies
     outside the chart, but on the locus the projected product is exactly
@@ -247,7 +247,7 @@ def _reduced_table(kmax: int, acc: _Acc, v: float = -0.2) -> None:
     extrapolating to zero realizes the limit without truncation error.
     The frame fields depend only on w = z and are shared by both points.
     """
-    pts = [mf.locus_point(-3.0, v), mf.locus_point(-3.0 + np.log(2.0), v)]
+    pts = [mf.locus_point(-3.0, -0.2), mf.locus_point(-3.0 + np.log(2.0), -0.2)]
     span = range(-2 * kmax - 1, 2 * kmax + 2)
     frame = {m: fc.flat_frame(pts[0], m).scale(-1.0) for m in span}
     low = [{m: _lower(pt, frame[m]) for m in range(-kmax, kmax + 1)} for pt in pts]

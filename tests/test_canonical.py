@@ -1,12 +1,15 @@
 """Canonical coordinate tests: pointwise definitions, the closed-form
-self-intersecting example, duality identities, reconstruction, and the
-smeared delta relations (diagonal metric and multiplication)."""
+self-intersecting example, duality identities, the smeared delta
+relations (diagonal metric and multiplication) and the flow tags of the
+characteristic velocities."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import todafrob.canonical as ca
 import todafrob.flatcoords as fc
@@ -150,18 +153,6 @@ def test_lax_velocity_reduces_to_printed_case():
     assert np.max(np.abs(cb_1 - directb)) < 1e-13
 
 
-def test_reconstruction_roundtrip():
-    x = mf.sample_tangent(5)
-    p = la.unit_roots(1024)
-    vals = ca.mu_pair(PT, p, x)
-    y = ca.reconstruct_tangent(PT, vals)
-    assert (x.a - y.a).max_abs() < 1e-9 and (x.ab - y.ab).max_abs() < 1e-9
-    # consistency of the two pairings: du = -(lam' lbar'/w') dmu
-    lp = PT.lam_p.evaluate(p)
-    bp = PT.lbar_p.evaluate(p)
-    assert np.max(np.abs(ca.du_pair(PT, p, x) + lp * bp / (lp + bp) * vals)) < 1e-11
-
-
 def test_semisimplicity():
     e = mf.unit_tangent()
     assert ca.semisimplicity_residual(PT, e, e) < 1e-12
@@ -198,3 +189,13 @@ def test_metric_diagonality_witness():
     y = mf.sample_tangent(6)
     assert abs(ca.metric_diagonality_residual(PT, x, y)) < 1e-8
     assert abs(ca.metric_diagonality_residual(PTF, x, y)) < 1e-8
+
+
+def test_char_velocities_take_exactly_the_hierarchy_tags():
+    # ("s", -1) once returned velocities of a flow that does not exist,
+    # ("t", 1.5) a TypeError and "w" an unpacking error
+    for flow in [("s", 0), ("sbar", 0), ("s", -1), ("t", 1.5), ("sbar", True), "w", ("q", 2)]:
+        with pytest.raises(ValueError, match=r"^unknown flow " + re.escape(repr(flow))):
+            ca.char_velocities(PT, flow, 64)
+    for flow in [("s", 2), ("sbar", 1), ("t", -1), ("t", 0), "u", "v"]:
+        assert ca.char_velocities(PT, flow, 64).shape == (64,)

@@ -86,14 +86,24 @@ def test_negative_tolerance_rejected(tmp_path, capsys):
 
 
 def test_reports_are_byte_identical(tmp_path):
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    a, b = tmp_path / "a", tmp_path / "b"
     assert run("verify", "--seed", "9", "--suites", FAST, "--outdir", str(a)) == 0
     assert run("verify", "--seed", "9", "--suites", FAST, "--outdir", str(b)) == 0
-    assert run("verify", "--seed", "9", "--suites", FAST, "--parallel",
-               "--outdir", str(c)) == 0
-    blob = (a / "report.json").read_bytes()
-    assert blob == (b / "report.json").read_bytes()
-    assert blob == (c / "report.json").read_bytes()
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+def test_there_is_no_parallel_option(tmp_path, capsys):
+    # suites run one after another: a --parallel flag or a "parallel"
+    # config key is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run("verify", "--seed", "9", "--suites", FAST, "--parallel",
+            "--outdir", str(tmp_path))
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "config.json"
+    cfgfile.write_text(json.dumps({"seed": 9, "parallel": True}))
+    assert run("verify", "--config", str(cfgfile), "--outdir", str(tmp_path)) == 2
+    assert "unknown key 'parallel'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_gram_csv_structure(tmp_path):
@@ -170,6 +180,16 @@ def test_flow_rejects_bad_tag(tmp_path, capsys):
     code = run("flow", "--seed", "3", "--flow", "zz", "--outdir", str(tmp_path))
     assert code == 2
     assert "unknown flow" in capsys.readouterr().err
+
+
+def test_flow_rejects_tags_outside_the_hierarchy(tmp_path, capsys):
+    # s0 and sbar0 once ran a zero flow
+    for tag in ["s0", "sbar0", "s-1", "t:1.5", "w"]:
+        code = run("flow", "--seed", "3", "--flow", tag, "--outdir", str(tmp_path))
+        assert code == 2, tag
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown flow {tag!r}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_canonical_csv(tmp_path):

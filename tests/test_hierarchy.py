@@ -8,6 +8,7 @@ the metric and the intersection form raising maps.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ import todafrob.flatcoords as fc
 import todafrob.hierarchy as hi
 import todafrob.laurent as la
 import todafrob.manifold as mf
+import todafrob.potential as po
 import todafrob.verify as vf
 from todafrob.laurent import LaurentSeries as LS
 
@@ -155,8 +157,8 @@ def test_casimirs_annihilated_exactly():
 
 def test_poisson_operators_skew():
     for seed in (0, 1, 2):
-        o1 = hi.sample_loop_cotangent(seed)
-        o2 = hi.sample_loop_cotangent(seed + 10)
+        o1 = mode_cotangent(mf.sample_cotangent(seed), seed + 1)
+        o2 = mode_cotangent(mf.sample_cotangent(seed + 10), 2 - seed)
         for op in (hi.poisson1_apply, hi.poisson2_apply):
             a = hi.loop_pair(o1, op(L3, o2))
             b = hi.loop_pair(o2, op(L3, o1))
@@ -245,6 +247,34 @@ def test_primary_hamiltonians_generate_primary_flows():
         assert r < 1e-6, (which, r)
 
 
+def fd_gradient_by_node(L: hi.LoopPoint, func, eps: float = 1e-6, pad: int = 12):
+    """primary_gradient_fd's central differences node by node, as it was
+    computed before it bumped every node at once: (slot 1, slot 2) rows."""
+    w1 = np.zeros((1 - (L.lam.lo - pad), L.nodes), dtype=complex)
+    w2 = np.zeros((L.lbar.hi + pad + 2, L.nodes), dtype=complex)
+    for k, pt in enumerate(node_points(L)):
+        for d in range(L.lam.lo - pad, 1):
+            bump = LS.monomial(d, eps)
+            w1[-d, k] = (func(mf.Point(pt.lam + bump, pt.lbar))
+                         - func(mf.Point(pt.lam - bump, pt.lbar))) / (2.0 * eps)
+        for d in range(-1, L.lbar.hi + pad + 1):
+            bump = LS.monomial(d, eps)
+            w2[L.lbar.hi + pad - d, k] = (func(mf.Point(pt.lam, pt.lbar + bump))
+                                         - func(mf.Point(pt.lam, pt.lbar - bump))) / (2.0 * eps)
+    return w1, w2
+
+
+def test_stacked_fd_gradient_matches_the_node_loop():
+    # the same differences on the stacked point; rounding of F, about
+    # 1e-16, over the step 1e-6 bounds the disagreement
+    L = hi.sample_loop(21, nodes=8, band=8, n=2, scale=0.04, mmax=2)
+    for which, func in (("u", po.dF_du), ("v", po.dF_dv)):
+        g = hi.primary_gradient_fd(L, which)
+        w1, w2 = fd_gradient_by_node(L, func)
+        assert max(hi.field_dist(g.w1, hi.LoopField(-1, w1)),
+                   hi.field_dist(g.w2, hi.LoopField(-1 - L.lbar.hi - 12, w2))) < 1e-9, which
+
+
 def test_conservation_along_flows():
     for flow in [("s", 1), ("sbar", 1), ("t", 0)]:
         _, ledger = hi.integrate(L3, flow, T=0.1, h=1e-3)
@@ -328,7 +358,7 @@ def test_blowup_and_tail_overflow():
         hi.rk4_step(hot, "v", 1e-3)
     # the alpha = -2 primary flow leaks past the retained band on this seed
     with pytest.raises(hi.TailOverflow):
-        hi.primary_rhs(L3, ("t", -2))
+        hi.rk4_step(L3, ("t", -2), 1e-3)
 
 
 # -- all nodes at once ---------------------------------------------------
@@ -599,10 +629,14 @@ def test_half_grid_refuses_the_first_steps_the_cap_refuses(monkeypatch):
 
 
 def test_serialization_roundtrip():
-    d = hi.loop_to_json_dict(L3)
-    back = hi.loop_from_json_dict(json.loads(json.dumps(d)))
+    d = json.loads(json.dumps(hi.loop_to_json_dict(L3)))
+
+    def unpack(p: dict) -> hi.LoopField:
+        return hi.LoopField(p["lo"], np.asarray(p["re"]) + 1j * np.asarray(p["im"]))
+
+    back = hi.LoopPoint(unpack(d["lam"]), unpack(d["lbar"]))
     assert loop_dist(L3, back) == 0.0
-    assert back.nodes == K
+    assert back.nodes == d["nodes"] == K
 
 
 # -- the loop-field kernel -----------------------------------------------
@@ -1030,6 +1064,30 @@ def test_rk4_step_refuses_a_non_finite_state(flow):
     # the trajectory stops at its first step, under numpy's default handling
     with np.errstate(all="ignore"), pytest.raises(hi.BlowUp):
         hi.integrate(poisoned(L3, "lbar", np.nan), flow, 2e-3, 1e-3)
+
+
+@pytest.mark.parametrize("flow", [("s", 1), ("t", 0), "v"], ids=["s1", "t0", "v"])
+def test_a_nan_defect_is_a_tail_overflow(flow):
+    # the stages of an RK4 step are not checked for NaN; their tangent is
+    with np.errstate(all="ignore"):
+        for slot in ("lam", "lbar"):
+            L = poisoned(L3, slot, np.nan)
+            _, defect = hi.tangent_part(L, *hi.flow_rhs(L, flow))
+            assert np.isnan(defect), slot
+            with pytest.raises(hi.TailOverflow, match="defect nan"):
+                hi._flow_tangent(L, flow)
+
+
+def test_flow_rhs_takes_exactly_the_hierarchy_tags():
+    # the tags the command line makes: s<n> and sbar<n> with n >= 1, t:<a>, u, v
+    good = [("s", 1), ("s", 3), ("sbar", 2), ("t", -2), ("t", 0), ("t", 1)]
+    assert [ca.flow_tag(f) for f in good + ["u", "v"]] == good + [("u", None), ("v", None)]
+    for flow in [("s", 0), ("sbar", 0), ("s", -1), ("sbar", -2), ("t", 1.5), ("s", 1.0),
+                 ("s", True), ("t", False), ("q", 1), ("s", 1, 2), ["s", 1], "w", "s1", None, 3]:
+        with pytest.raises(ValueError, match=r"^unknown flow " + re.escape(repr(flow))):
+            hi.flow_rhs(L3, flow)
+        with pytest.raises(ValueError, match=r"^unknown flow " + re.escape(repr(flow))):
+            hi.rk4_step(L3, flow, 1e-3)
 
 
 def test_step_count_refuses_zero_and_non_finite_steps():

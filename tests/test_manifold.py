@@ -339,6 +339,32 @@ def test_validation_errors():
         mf.Cotangent(LS.zero(), LS(0, [1.0, 1.0]))  # second slot degree 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "nanj"])
+def test_point_refuses_non_finite_coefficients(bad):
+    # NaN fails the z^1 and 1/z guards' comparisons; finiteness is checked first
+    for slot, d in [("lam", 1), ("lam", 0), ("lam", PT.lam.lo), ("lbar", -1), ("lbar", 3)]:
+        f = PT.lam if slot == "lam" else PT.lbar
+        c = f.c.copy()
+        c[d - f.lo] = bad
+        pair = (LS(f.lo, c), PT.lbar) if slot == "lam" else (PT.lam, LS(f.lo, c))
+        with pytest.raises(ValueError, match="finite coefficients"):
+            mf.Point(*pair)
+    # a stack with one bad row
+    rows = np.stack([PT.lbar.c, PT.lbar.c])
+    rows[1, 0] = bad
+    with pytest.raises(ValueError, match="finite coefficients"):
+        mf.Point(LS(PT.lam.lo, np.stack([PT.lam.c, PT.lam.c])), LS(PT.lbar.lo, rows))
+
+
+def test_stacked_point_has_one_u_per_row():
+    pts = [mf.sample_point(s) for s in (1, 2, 3)]
+    stacked = mf.Point(LS(-24, np.stack([p.lam.window(-24, 1) for p in pts])),
+                       LS(-1, np.stack([p.lbar.window(-1, 24) for p in pts])))
+    assert isinstance(pts[0].u, complex)
+    assert np.array_equal(stacked.u, [p.u for p in pts])
+
+
 def test_w_pow_certified():
     winv = PT.w_pow(-1)
     prod = winv * PT.w
@@ -346,9 +372,3 @@ def test_w_pow_certified():
     w2 = PT.w_pow(-2)
     assert la.series_dist(w2 * PT.w, winv) < 1e-10
 
-
-def test_point_json_roundtrip():
-    d = PT.to_json_dict()
-    pt2 = mf.Point.from_json_dict(d)
-    assert la.series_dist(PT.lam, pt2.lam) == 0.0
-    assert la.series_dist(PT.lbar, pt2.lbar) == 0.0

@@ -1,0 +1,109 @@
+"""The public surface of todafrob: every public module-level function has
+a caller in the package or the benchmark, so API that only tests call
+does not accumulate.
+
+A reference to a function is its bare name in its own module or after a
+`from ... import`, an attribute of a name bound to its module, or a
+string "module.function" (the benchmark's tracer names call sites so).
+References inside the function's own body and in docstrings do not count.
+"""
+from __future__ import annotations
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+from todafrob import canonical, cli, flatcoords, hierarchy, laurent, manifold, potential, verify
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = {m.__name__.rsplit(".", 1)[1]: m for m in (
+    laurent, manifold, flatcoords, potential, canonical, hierarchy, verify, cli)}
+
+# The second, independent route of an identity that the README promises
+# twice: tests compare the closed forms against these, nothing else runs them.
+REFERENCE_IMPLEMENTATIONS = {
+    ("hierarchy", "primary_gradient_fd"): "finite-difference gradients of the primary Hamiltonians",
+    ("manifold", "intersection_metric"): "the intersection form by circle quadrature",
+    ("canonical", "metric_diagonality_residual"): "the flat metric as a contour of du(p) pairings",
+    ("flatcoords", "flat_differential"): "dt_n, dual to the flat frames",
+    ("flatcoords", "jacobian_t_w"): "d t_n / d w_m by contour integral",
+}
+
+
+def public_functions() -> set[tuple[str, str]]:
+    return {(short, name) for short, mod in MODULES.items() for name, obj in vars(mod).items()
+            if not name.startswith("_") and inspect.isfunction(obj)
+            and obj.__module__ == mod.__name__}
+
+
+def references(path: Path) -> set[tuple[str, str]]:
+    tree = ast.parse(path.read_text())
+    own = path.stem if path.parent.name == "todafrob" else None
+    aliases, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                short = a.name.removeprefix("todafrob.")
+                if a.name.startswith("todafrob.") and short in MODULES and a.asname:
+                    aliases[a.asname] = short
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import m" and "from todafrob import m" bind modules,
+            # "from .m import f" and "from todafrob.m import f" functions
+            if node.level:
+                source = node.module or ""
+            elif node.module == "todafrob" or node.module.startswith("todafrob."):
+                source = node.module.removeprefix("todafrob").removeprefix(".")
+            else:
+                continue
+            for a in node.names:
+                if source == "" and a.name in MODULES:
+                    aliases[a.asname or a.name] = a.name
+                elif source in MODULES:
+                    names[a.asname or a.name] = (source, a.name)
+    found = set()
+
+    def visit(node: ast.AST, inside: tuple | None) -> None:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return  # a docstring
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            ref = names.get(node.id) or ((own, node.id) if own else None)
+            if ref and ref != inside:
+                found.add(ref)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            found.add((aliases[node.value.id], node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"\b(\w+)\.(\w+)", node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for stmt in tree.body:
+        inside = (own, stmt.name) if own and isinstance(stmt, ast.FunctionDef) else None
+        visit(stmt, inside)
+    return found
+
+
+def reached() -> set[tuple[str, str]]:
+    files = sorted((ROOT / "src" / "todafrob").glob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
+    out = set().union(*(references(p) for p in files))
+    # verify.run_suite looks each registered suite up by name
+    out |= {("verify", "suite_" + name.replace("-", "_")) for name in verify.SUITES}
+    return out
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    unreached = public_functions() - reached() - set(REFERENCE_IMPLEMENTATIONS)
+    assert not unreached, sorted(unreached)
+
+
+@pytest.mark.parametrize("ref", sorted(REFERENCE_IMPLEMENTATIONS))
+def test_reference_implementations_exist_and_are_tested(ref):
+    short, name = ref
+    assert inspect.isfunction(getattr(MODULES[short], name, None)), ref
+    tests = "".join(p.read_text() for p in sorted(Path(__file__).parent.glob("test_*.py"))
+                    if p.name != Path(__file__).name)
+    assert re.search(rf"\b\w+\.{name}\(", tests), ref
+
