@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laurent as la
-from .manifold import Point, Tangent, metric_tangent, tan_mul
+from .manifold import Point, Tangent, metric_tangent, tan_mul, w_prime_vanishes
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,9 @@ def canonical_data(pt: Point, m: int | None = None) -> CanonicalData:
     """sigma, u_sigma and the metric weight f on an m-point circle grid."""
     m = m or max(pt.quad_m(8), 256)
     p = la.unit_roots(m)
-    lam = la.grid_eval(pt.lam, m)
-    lbar = la.grid_eval(pt.lbar, m)
-    lp = la.grid_eval(pt.lam_p, m)
-    bp = la.grid_eval(pt.lbar_p, m)
+    lam, lbar, lp, bp = pt.on_grid(m, "lam", "lbar", "lam_p", "lbar_p")
     wp = lp + bp
-    if float(np.min(np.abs(wp))) <= 1e-10 * max(float(np.max(np.abs(wp))), 1.0):
+    if w_prime_vanishes(wp):
         raise la.ZeroOnCircle("w' vanishes on the circle")
 
     sigma = lp / wp
@@ -77,8 +74,8 @@ def du_pair(pt: Point, p, x: Tangent):
 
 def du_grid(pt: Point, m: int, x: Tangent):
     """du_pair at the m-th roots of unity, la.unit_roots(m), by inverse
-    FFT; lam' and lbar' come from pt.derivatives_on_grid(m)."""
-    lp, bp = pt.derivatives_on_grid(m)
+    FFT; lam' and lbar' are the point's cached values from pt.on_grid."""
+    lp, bp = pt.on_grid(m, "lam_p", "lbar_p")
     return _du(lp, bp, la.grid_eval(x.a, m), la.grid_eval(x.ab, m))
 
 
@@ -131,9 +128,9 @@ def char_velocities(pt: Point, flow, m: int | None = None) -> np.ndarray:
     if kind == "u":
         return np.divide.outer(pt.ubarm1, la.unit_roots(m))
     if kind == "v":
-        return np.ones(m, dtype=complex)
+        return np.ones(np.shape(pt.ubarm1) + (m,), dtype=complex)
     if kind == "t":
-        lp, bp = pt.derivatives_on_grid(m)
+        lp, bp = pt.on_grid(m, "lam_p", "lbar_p")
         f = pt.w_pow(n) * pt.w_p
         minus = la.grid_eval(f.project("leq", -1), m)
         plus = la.grid_eval(f.project("geq", 0), m)

@@ -354,8 +354,16 @@ def cmd_canonical(cfg: RunConfig, grid: int) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ConfigErrors, so that they reach
+    the user as one line, like every other bad input."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="todafrob",
         description="Identity suites and data exports for the Toda Frobenius "
                     "manifold library.",
@@ -434,8 +442,8 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = merge_config(args)
         if args.command == "verify":
             return cmd_verify(cfg)

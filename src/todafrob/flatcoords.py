@@ -30,12 +30,6 @@ class NewtonDiverged(ArithmeticError):
 NEWTON_ITERATIONS = 60
 
 
-def _log_ratio_grid(w: LS, w_p: LS, m: int, row0: int = 0):
-    """Samples of log(z/w), w and w' on the m-point circle grid."""
-    wv = la.grid_eval(w, m)
-    return la.log_values_on_circle(la.unit_roots(m) / wv, row0), wv, la.grid_eval(w_p, m)
-
-
 def flat_coordinates(
     pt: Point, n_lo: int = -16, n_hi: int = 16, grid_size: int | None = None
 ) -> dict:
@@ -43,18 +37,14 @@ def flat_coordinates(
     for a stacked point each t_n is an array with one entry per point."""
     m = grid_size or max(pt.quad_m(8 * max(abs(n_lo), abs(n_hi), 1)), 1024)
     ns = range(n_lo, n_hi + 1)
-
-    def rows(w, w_p, row0):
-        h, wv, wpv = _log_ratio_grid(w, w_p, m, row0)
-        f = h * wv ** (-n_hi - 1) * wpv  # the n_hi integrand; one step of w per n
-        out = np.empty(f.shape[:-1] + (len(ns),), dtype=complex)
-        for j in reversed(range(len(ns))):
-            out[..., j] = la.contour_mean(f)
-            if j:
-                f *= wv
-        return out
-
-    ts = la.by_row_blocks(rows, (pt.w, pt.w_p), m)
+    wv, wpv = pt.on_grid(m, "w", "w_p")
+    h = la.log_values_on_circle(la.unit_roots(m) / wv)
+    f = h * wv ** (-n_hi - 1) * wpv  # the n_hi integrand; one step of w per n
+    ts = np.empty(f.shape[:-1] + (len(ns),), dtype=complex)
+    for j in reversed(range(len(ns))):
+        ts[..., j] = la.contour_mean(f)
+        if j:
+            f *= wv
     return dict(zip(ns, ts.tolist() if ts.ndim == 1 else ts.T))
 
 
@@ -193,7 +183,7 @@ def jacobian_t_w(pt: Point, n: int, m_deg: int) -> complex:
     """d t_n / d w_m = -(1/2 pi i) contour of w^{-n-1} z^{m-1} dz."""
     m = max(pt.quad_m(8 * (abs(n) + 1)), 1024)
     zs = la.unit_roots(m)
-    wv = la.grid_eval(pt.w, m)
+    (wv,) = pt.on_grid(m, "w")
     return -la.contour_mean(wv ** (-n - 1) * zs ** (m_deg - 1))
 
 
@@ -204,6 +194,7 @@ def log_ratio_pairing(pt: Point) -> complex:
     consistency check of the chart and inside the potential.
     """
     m = max(pt.quad_m(16), 1024)
-    h, wv, _ = _log_ratio_grid(pt.w, pt.w_p, m)
     zs = la.unit_roots(m)
+    (wv,) = pt.on_grid(m, "w")
+    h = la.log_values_on_circle(zs / wv)
     return la.contour_mean(-(wv / zs) * h)

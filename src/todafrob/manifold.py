@@ -172,18 +172,18 @@ class Point:
     def w_p(self) -> LS:
         return self._get("w_p", lambda: self.w.derivative())
 
-    def derivatives_on_grid(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lam', lbar') at the m-th roots of unity by la.grid_eval,
-        read-only and cached, so the circle-grid diagnostics of one point
-        read them once."""
+    def on_grid(self, m: int, *names: str) -> tuple[np.ndarray, ...]:
+        """Values of the named series (lam, lbar, w, lam_p, lbar_p, w_p) at
+        the m-th roots of unity by la.grid_eval, one array per name.  Each
+        is evaluated once per m, cached and read-only, so the circle-grid
+        functions of one point share them."""
 
-        def build():
-            vals = la.grid_eval(self.lam_p, m), la.grid_eval(self.lbar_p, m)
-            for v in vals:
-                v.setflags(write=False)
+        def build(name):
+            vals = la.grid_eval(getattr(self, name), m)
+            vals.setflags(write=False)
             return vals
 
-        return self._get(("derivatives_on_grid", m), build)
+        return tuple(self._get((name, m), lambda: build(name)) for name in names)
 
     @property
     def ell(self) -> LS:
@@ -345,6 +345,13 @@ def tan_mul(pt: Point, x: Tangent, y: Tangent) -> Tangent:
     return eta_apply(pt, cot_mul(pt, eta_inverse(pt, x), eta_inverse(pt, y)))
 
 
+def w_prime_vanishes(wp_vals: np.ndarray) -> bool:
+    """Whether the grid values of w' vanish somewhere, relative to their
+    size: min|w'| <= 1e-10 max(max|w'|, 1).  A NaN reads as vanishing."""
+    mags = np.abs(wp_vals)
+    return not float(np.min(mags)) > 1e-10 * max(float(np.max(mags)), 1.0)
+
+
 def metric_tangent(pt: Point, x: Tangent, y: Tangent) -> complex:
     """Flat metric on variations.
 
@@ -357,7 +364,9 @@ def metric_tangent(pt: Point, x: Tangent, y: Tangent) -> complex:
                 yw.hi - yw.lo if not yw.is_zero else 0)
     m = pt.quad_m(width)
     zs = la.unit_roots(m)
-    wp_vals = la.grid_eval(pt.w_p, m)
+    (wp_vals,) = pt.on_grid(m, "w_p")
+    if w_prime_vanishes(wp_vals):
+        raise la.ZeroOnCircle("w' vanishes on the circle")
     vals = la.grid_eval(xw, m) * la.grid_eval(yw, m) / (zs**2 * wp_vals)
     circle = la.contour_mean(vals)
     res0 = (ell_variation(x) * ell_variation(y) * pt.ell_recip).residue()
@@ -393,10 +402,7 @@ def intersection_metric(pt: Point, x: Tangent, y: Tangent) -> complex:
     """Intersection form on variations, by circle quadrature."""
     m = pt.quad_m(2 * pt.inv_halfband)
     zs = la.unit_roots(m)
-    lp = la.grid_eval(pt.lam_p, m)
-    bp = la.grid_eval(pt.lbar_p, m)
-    lam = la.grid_eval(pt.lam, m)
-    lbar = la.grid_eval(pt.lbar, m)
+    lp, bp, lam, lbar = pt.on_grid(m, "lam_p", "lbar_p", "lam", "lbar")
 
     def bracket(t: Tangent) -> np.ndarray:
         return la.grid_eval(t.a, m) / lp - la.grid_eval(t.ab, m) / bp
@@ -455,12 +461,8 @@ def check_membership(pt: Point, grid_size: int | None = None) -> MembershipRepor
     """
     m = grid_size or pt.quad_m(8)
     zs = la.unit_roots(m)
-    w_vals = la.grid_eval(pt.w, m)
-    wp_vals = la.grid_eval(pt.w_p, m)
-    lp_vals = la.grid_eval(pt.lam_p, m)
-    bp_vals = la.grid_eval(pt.lbar_p, m)
-    lam_vals = la.grid_eval(pt.lam, m)
-    lbar_vals = la.grid_eval(pt.lbar, m)
+    w_vals, wp_vals, lp_vals, bp_vals, lam_vals, lbar_vals = pt.on_grid(
+        m, "w", "w_p", "lam_p", "lbar_p", "lam", "lbar")
     lpp_vals = la.grid_eval(pt.lam_p.derivative(), m)
     bpp_vals = la.grid_eval(pt.lbar_p.derivative(), m)
 
@@ -492,8 +494,7 @@ def check_membership(pt: Point, grid_size: int | None = None) -> MembershipRepor
     wronskian_min = float(np.min(np.abs(lam_vals * bp_vals - lbar_vals * lp_vals)))
     ss_min = float(np.min(np.abs(lp_vals * bpp_vals - bp_vals * lpp_vals)))
 
-    wp_scale = float(np.max(np.abs(wp_vals)))
-    nondegenerate = w_prime_min > 1e-10 * max(wp_scale, 1.0) and ub > 1e-10
+    nondegenerate = not w_prime_vanishes(wp_vals) and ub > 1e-10
     in_open_stratum = nondegenerate and winding == 1 and simple
     intersection_ok = min(lam_prime_min, lbar_prime_min, wronskian_min) > 1e-10
     semisimple_ok = ss_min > 1e-10

@@ -89,7 +89,7 @@ def dF_dt(pt: Point, alpha: int) -> complex:
 
     m = max(pt.quad_m(16 + 8 * abs(alpha)), 1024)
     zs = la.unit_roots(m)
-    wv = la.grid_eval(w, m)
+    (wv,) = pt.on_grid(m, "w")
     h = la.log_values_on_circle(wv / zs)
     fv = la.grid_eval(f, m)
     dp = la.contour_mean(-fv * (h + 1.0))
@@ -157,9 +157,9 @@ def trilinear_form(pt: Point, x1: Tangent, x2: Tangent, x3: Tangent) -> complex:
     s_p = (pt.lbar - pt.lam).derivative()
 
     width = sum((f.hi - f.lo) if not f.is_zero else 0 for f in dw)
-    m = la.default_grid_size(width + 2 * pt.band_n + 16)
+    m = pt.quad_m(width + 16)
     zs = la.unit_roots(m)
-    wpv = la.grid_eval(pt.w_p, m)
+    (wpv,) = pt.on_grid(m, "w_p")
     dwv = [la.grid_eval(f, m) for f in dw]
     dsv = [la.grid_eval(f, m) for f in ds]
     spv = la.grid_eval(s_p, m)

@@ -90,8 +90,8 @@ def reference_velocities(pt: mf.Point, flow, m: int, values) -> np.ndarray:
     p = values(LS(1, [1.0]), m)
     if flow == "u":
         return np.divide.outer(pt.ubarm1, p)
-    if flow == "v":
-        return np.ones(m, dtype=complex)
+    if flow == "v":  # a row of ones per point
+        return np.ones(np.shape(pt.ubarm1) + (m,), dtype=complex)
     kind, n = flow
     if kind == "t":
         lp, bp = values(pt.lam_p, m), values(pt.lbar_p, m)
@@ -170,14 +170,20 @@ def test_semisimplicity_residual_reads_the_grid_once(monkeypatch):
     xy = mf.tan_mul(PT, x, y)
     horner = np.max(np.abs(ca.du_pair(PT, p, xy) - ca.du_pair(PT, p, x) * ca.du_pair(PT, p, y)))
     pt = mf.Point(PT.lam, PT.lbar)  # nothing cached yet
+    derivatives = {"lam_p": pt.lam_p, "lbar_p": pt.lbar_p}
     evaluations, grids = Counter(), Counter()
     monkeypatch.setattr(la.LaurentSeries, "evaluate",
                         lambda *a: evaluations.update(["evaluate"]))
-    real = mf.Point.derivatives_on_grid
-    monkeypatch.setattr(mf.Point, "derivatives_on_grid",
-                        lambda self, m: grids.update([m]) or real(self, m))
+    real = la.grid_eval
+
+    def counted(f, m):
+        grids.update((name, m) for name, g in derivatives.items() if f is g)
+        return real(f, m)
+
+    monkeypatch.setattr(la, "grid_eval", counted)
     grid = ca.semisimplicity_residual(pt, x, y)
-    assert evaluations["evaluate"] == 0 and grids == Counter({256: 3})
+    assert evaluations["evaluate"] == 0
+    assert grids == Counter({("lam_p", 256): 1, ("lbar_p", 256): 1})
     assert abs(grid - horner) < 1e-12 and grid < 1e-12
 
 
@@ -197,5 +203,8 @@ def test_char_velocities_take_exactly_the_hierarchy_tags():
     for flow in [("s", 0), ("sbar", 0), ("s", -1), ("t", 1.5), ("sbar", True), "w", ("q", 2)]:
         with pytest.raises(ValueError, match=r"^unknown flow " + re.escape(repr(flow))):
             ca.char_velocities(PT, flow, 64)
+    stack = stacked_point(range(3))
     for flow in [("s", 2), ("sbar", 1), ("t", -1), ("t", 0), "u", "v"]:
         assert ca.char_velocities(PT, flow, 64).shape == (64,)
+        # one row per point; "v" once returned a single row for a stack
+        assert ca.char_velocities(stack, flow, 64).shape == (3, 64), flow

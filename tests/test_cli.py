@@ -95,10 +95,8 @@ def test_reports_are_byte_identical(tmp_path):
 def test_there_is_no_parallel_option(tmp_path, capsys):
     # suites run one after another: a --parallel flag or a "parallel"
     # config key is a usage error
-    with pytest.raises(SystemExit) as exc:
-        run("verify", "--seed", "9", "--suites", FAST, "--parallel",
-            "--outdir", str(tmp_path))
-    assert exc.value.code == 2
+    assert run("verify", "--seed", "9", "--suites", FAST, "--parallel",
+               "--outdir", str(tmp_path)) == 2
     cfgfile = tmp_path / "config.json"
     cfgfile.write_text(json.dumps({"seed": 9, "parallel": True}))
     assert run("verify", "--config", str(cfgfile), "--outdir", str(tmp_path)) == 2
@@ -228,6 +226,32 @@ def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--bogus"],
+    ["verify", "--seed", "abc"],
+    ["flow", "--T", "x"],
+    ["verify", "--seed"],
+    ["nonsense"],
+    [],
+])
+def test_usage_errors_are_one_line_and_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # argparse's own errors once printed the usage block as well
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 0
+    assert "usage: todafrob" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("u", ["100", "16.92982", "15", "-30"])

@@ -10,13 +10,16 @@ structure map is checked against those kernels on a generic point.
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from todafrob import canonical as ca
+from todafrob import flatcoords as fc
 from todafrob import laurent as la
 from todafrob import manifold as mf
+from todafrob import potential as po
 from todafrob.laurent import LaurentSeries as LS
 
 GEN_K = 160
@@ -296,6 +299,48 @@ def w_with_inner_loops(a):
     0 < a < 1, w winds once and w' vanishes only at a = 1/2; past that
     cusp the curve crosses itself."""
     return mf.Point(LS(-2, [a, -1.0, 0.0, 1.0]), LS(-1, [1.0]))
+
+
+GRID_SERIES = ("lam", "lbar", "w", "lam_p", "lbar_p", "w_p")
+
+
+def test_pointwise_functions_read_each_series_once_per_grid(monkeypatch):
+    # membership and canonical data share the 512-point grid, the chart
+    # and the potential the 1024-point one: each series is evaluated once
+    # per grid, through Point.on_grid
+    pt = mf.Point(PT.lam, PT.lbar)  # nothing cached yet
+    series = {name: getattr(pt, name) for name in GRID_SERIES}
+    seen = Counter()
+    real = la.grid_eval
+
+    def counted(f, m):
+        seen.update((name, m) for name, g in series.items() if f is g)
+        return real(f, m)
+
+    monkeypatch.setattr(la, "grid_eval", counted)
+    mf.check_membership(pt)
+    ca.canonical_data(pt)
+    fc.flat_coordinates(pt)
+    po.potential_F(pt)
+    assert {m for _, m in seen} == {512, 1024}
+    assert max(seen.values()) == 1, seen
+    for vals in pt.on_grid(512, *GRID_SERIES):
+        with pytest.raises(ValueError, match="read-only"):
+            vals[0] = 0.0
+
+
+def test_a_vanishing_w_prime_is_refused_on_the_grid():
+    # w = z + 1/z: w' = 1 - 1/z^2 is zero at the grid nodes z = +-1
+    pt = mf.Point(LS(1, [1.0]), LS(-1, [1.0]))
+    e = mf.unit_tangent()
+    with pytest.raises(la.ZeroOnCircle, match="w' vanishes"):
+        mf.metric_tangent(pt, e, e)
+    with pytest.raises(la.ZeroOnCircle, match="w' vanishes"):
+        ca.canonical_data(pt)
+    rep = mf.check_membership(pt)
+    assert not rep.nondegenerate and not rep.in_open_stratum
+    assert mf.w_prime_vanishes(np.array([1.0, np.nan]))
+    assert not mf.w_prime_vanishes(np.array([1.0, 1e-9]))
 
 
 def test_membership_certifies_simplicity():

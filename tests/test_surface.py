@@ -107,3 +107,25 @@ def test_reference_implementations_exist_and_are_tested(ref):
                     if p.name != Path(__file__).name)
     assert re.search(rf"\b\w+\.{name}\(", tests), ref
 
+
+
+# The series of a point whose circle-grid values Point.on_grid caches.
+GRID_SERIES = {"lam", "lbar", "w", "lam_p", "lbar_p", "w_p"}
+
+
+def hand_grid_evals(path: Path) -> list[str]:
+    """Calls grid_eval(<x>.<series>, ...) of a point series outside
+    Point.on_grid, as file:line."""
+    tree = ast.parse(path.read_text())
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "on_grid" for n in ast.walk(f)}
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "grid_eval"
+            and node.args and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr in GRID_SERIES]
+
+
+def test_point_series_reach_the_grid_only_through_on_grid():
+    files = sorted((ROOT / "src" / "todafrob").glob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
+    assert not [hit for p in files for hit in hand_grid_evals(p)]
