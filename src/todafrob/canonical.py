@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laurent as la
-from .manifold import Point, Tangent, metric_tangent, tan_mul, w_prime_vanishes
+from .manifold import Point, Tangent, metric_tangent, tan_mul, vanishes_on_circle
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def canonical_data(pt: Point, m: int | None = None) -> CanonicalData:
     p = la.unit_roots(m)
     lam, lbar, lp, bp = pt.on_grid(m, "lam", "lbar", "lam_p", "lbar_p")
     wp = lp + bp
-    if w_prime_vanishes(wp):
+    if vanishes_on_circle(wp):
         raise la.ZeroOnCircle("w' vanishes on the circle")
 
     sigma = lp / wp
@@ -60,8 +60,12 @@ def canonical_data(pt: Point, m: int | None = None) -> CanonicalData:
 
 def _du(lp, bp, a, ab):
     """<du(p), x> = (lam'(p) ab(p) - lbar'(p) a(p)) / w'(p) from the
-    values of lam', lbar' and of the slots a, ab of x at the same p."""
-    return (lp * ab - bp * a) / (lp + bp)
+    values of lam', lbar' and of the slots a, ab of x at the same p;
+    refused (ZeroOnCircle) where w' = lam' + lbar' vanishes among them."""
+    wp = lp + bp
+    if vanishes_on_circle(wp):
+        raise la.ZeroOnCircle("w' vanishes on the circle")
+    return (lp * ab - bp * a) / wp
 
 
 def du_pair(pt: Point, p, x: Tangent):

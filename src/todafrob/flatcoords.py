@@ -20,7 +20,7 @@ import numpy as np
 
 from . import laurent as la
 from .laurent import LaurentSeries as LS
-from .manifold import Cotangent, Point, Tangent
+from .manifold import Cotangent, Point, Tangent, vanishes_on_circle
 
 
 class NewtonDiverged(ArithmeticError):
@@ -34,10 +34,13 @@ def flat_coordinates(
     pt: Point, n_lo: int = -16, n_hi: int = 16, grid_size: int | None = None
 ) -> dict:
     """Coefficients t_n = (1/2 pi i) contour of log(z/w) w^{-n-1} w' dz;
-    for a stacked point each t_n is an array with one entry per point."""
+    for a stacked point each t_n is an array with one entry per point.
+    Refused (ZeroOnCircle) where w vanishes on the grid."""
     m = grid_size or max(pt.quad_m(8 * max(abs(n_lo), abs(n_hi), 1)), 1024)
     ns = range(n_lo, n_hi + 1)
     wv, wpv = pt.on_grid(m, "w", "w_p")
+    if vanishes_on_circle(wv):
+        raise la.ZeroOnCircle("w vanishes on the circle")
     h = la.log_values_on_circle(la.unit_roots(m) / wv)
     f = h * wv ** (-n_hi - 1) * wpv  # the n_hi integrand; one step of w per n
     ts = np.empty(f.shape[:-1] + (len(ns),), dtype=complex)
@@ -180,10 +183,13 @@ def flat_differential(pt: Point, n: int) -> Cotangent:
 
 
 def jacobian_t_w(pt: Point, n: int, m_deg: int) -> complex:
-    """d t_n / d w_m = -(1/2 pi i) contour of w^{-n-1} z^{m-1} dz."""
+    """d t_n / d w_m = -(1/2 pi i) contour of w^{-n-1} z^{m-1} dz;
+    refused (ZeroOnCircle) where w vanishes on the grid."""
     m = max(pt.quad_m(8 * (abs(n) + 1)), 1024)
     zs = la.unit_roots(m)
     (wv,) = pt.on_grid(m, "w")
+    if vanishes_on_circle(wv):
+        raise la.ZeroOnCircle("w vanishes on the circle")
     return -la.contour_mean(wv ** (-n - 1) * zs ** (m_deg - 1))
 
 
@@ -191,10 +197,13 @@ def log_ratio_pairing(pt: Point) -> complex:
     """(1/2 pi i) contour of (w/z) log(w/z) dz.
 
     Equals (1/2) sum_{i+j=-1} t_i t_j - t_{-1}; used as a scalar
-    consistency check of the chart and inside the potential.
+    consistency check of the chart and inside the potential.  Refused
+    (ZeroOnCircle) where w vanishes on the grid.
     """
     m = max(pt.quad_m(16), 1024)
     zs = la.unit_roots(m)
     (wv,) = pt.on_grid(m, "w")
+    if vanishes_on_circle(wv):
+        raise la.ZeroOnCircle("w vanishes on the circle")
     h = la.log_values_on_circle(zs / wv)
     return la.contour_mean(-(wv / zs) * h)

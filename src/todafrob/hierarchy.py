@@ -18,10 +18,9 @@ the first to the last nonzero row: lam and lbar carry exactly-zero rows
 at their band ends, which add only zeros, so every row keeps its bits
 and each result keeps the rows of the whole product.  The t0 flow
 brackets with the three-row generator lbar_{<=-1} - lam_{>=0}, equal to
-the brackets of the two halves of w (see flow_rhs).  An RK4 step sums
-its stages on zero-padded arrays of the loop's fixed tangent windows,
-with the additions of the LoopField sums it replaces, and fails closed:
-a non-finite state or step raises BlowUp.
+the brackets of the two halves of w (see flow_rhs).  An RK4 step chains
+its four stages through LoopField sums and fails closed: a non-finite
+state or step raises BlowUp.
 
 The negative primary flows need a certified circle operation at every
 node.  Each walks a ladder of power-of-two grids: first the smallest
@@ -790,50 +789,21 @@ def rk4_step(L: LoopPoint, flow, h: float) -> LoopPoint:
     Fails closed: BlowUp is raised before any stage for a non-finite h
     or a state with a coefficient that is NaN, inf or beyond BLOWUP_LIMIT,
     and after the step for a result beyond the limit.  Every guard is
-    written so that a NaN refuses.
-
-    Stages are read onto zero-padded arrays of the loop's tangent windows,
-    degrees min(lam.lo, 0)..0 and -1..max(lbar.hi, 0), and summed there,
-    with the additions, in the order, of the LoopField sums L + c k_i and
-    k1 + 2 k2 + 2 k3 + k4 they replace, so the bits are theirs.  Each
-    point keeps the rows those sums span: L's, widened only where a zero
-    tangent slot (a row at degree 0) lies outside them."""
+    written so that a NaN refuses."""
     _check_magnitude(L)
     if not math.isfinite(h):
         raise BlowUp(f"non-finite step h={h!r}")
-    lo, top = min(L.lam.lo, 0), max(L.lbar.hi, 0)
-    nodes = L.nodes
-    # L's slots read onto zeros, as a LoopField sum reads them
-    lam0 = np.zeros((2 - lo, nodes), dtype=complex)
-    lam0[L.lam.lo - lo :] += L.lam.coeffs
-    bar0 = np.zeros((top + 2, nodes), dtype=complex)
-    bar0[: L.lbar.hi + 2] += L.lbar.coeffs
 
-    def padded(f: LoopField, start: int, rows: int) -> np.ndarray:
-        out = np.zeros((rows, nodes), dtype=complex)
-        out[f.lo - start : f.hi - start + 1] = f.coeffs
-        return out
+    def advance(t: LoopTangent, c: float) -> LoopPoint:
+        return LoopPoint(L.lam + t.a.scale(c), L.lbar + t.ab.scale(c))
 
-    def shifted(da: np.ndarray, dab: np.ndarray, c: float, a_lo: int, b_hi: int) -> LoopPoint:
-        """L + c (da, dab) on degrees a_lo..1 and -1..b_hi."""
-        lam, bar = lam0.copy(), bar0 + c * dab
-        lam[:-1] += c * da
-        return LoopPoint(LoopField(a_lo, lam[a_lo - lo :]), LoopField(-1, bar[: b_hi + 2]))
-
-    acc_a = np.zeros((1 - lo, nodes), dtype=complex)
-    acc_ab = np.zeros((top + 2, nodes), dtype=complex)
-    a_lo, b_hi = L.lam.lo, L.lbar.hi
-    cur = L
-    # each stage's weight in the sum, and the step c h to the next stage
-    for weight, c in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0), (1.0, None)):
-        k = _flow_tangent(cur, flow)
-        da, dab = padded(k.a, lo, 1 - lo), padded(k.ab, -1, top + 2)
-        acc_a += weight * da
-        acc_ab += weight * dab
-        a_lo, b_hi = min(a_lo, k.a.lo), max(b_hi, k.ab.hi)
-        if c is not None:
-            cur = shifted(da, dab, c * h, min(L.lam.lo, k.a.lo), max(L.lbar.hi, k.ab.hi))
-    out = shifted(acc_a, acc_ab, h / 6.0, a_lo, b_hi)
+    k1 = _flow_tangent(L, flow)
+    k2 = _flow_tangent(advance(k1, 0.5 * h), flow)
+    k3 = _flow_tangent(advance(k2, 0.5 * h), flow)
+    k4 = _flow_tangent(advance(k3, h), flow)
+    a = k1.a + k2.a.scale(2.0) + k3.a.scale(2.0) + k4.a
+    ab = k1.ab + k2.ab.scale(2.0) + k3.ab.scale(2.0) + k4.ab
+    out = advance(LoopTangent(a, ab), h / 6.0)
     _check_magnitude(out)
     tails = tail_report(out)
     if not (tails["z_tail"] <= TAIL_LIMIT and tails["x_tail"] <= TAIL_LIMIT):

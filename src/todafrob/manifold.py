@@ -54,9 +54,6 @@ class Tangent:
     def dist(self, other: "Tangent") -> float:
         return max(la.series_dist(self.a, other.a), la.series_dist(self.ab, other.ab))
 
-    def norm(self) -> float:
-        return max(self.a.max_abs(), self.ab.max_abs())
-
 
 @dataclass(frozen=True)
 class Cotangent:
@@ -80,9 +77,6 @@ class Cotangent:
 
     def dist(self, other: "Cotangent") -> float:
         return max(la.series_dist(self.w1, other.w1), la.series_dist(self.w2, other.w2))
-
-    def norm(self) -> float:
-        return max(self.w1.max_abs(), self.w2.max_abs())
 
 
 class Point:
@@ -186,11 +180,6 @@ class Point:
         return tuple(self._get((name, m), lambda: build(name)) for name in names)
 
     @property
-    def ell(self) -> LS:
-        """z + v + e^u / z."""
-        return self._get("ell", lambda: LS(-1, [self.ubarm1, self.v, 1.0]))
-
-    @property
     def ell_recip(self) -> LS:
         """Taylor reciprocal of z^2 ell' = z^2 - e^u at z=0."""
         return self._get(
@@ -226,9 +215,9 @@ def unit_tangent() -> Tangent:
 
 
 def frame_u(pt: Point) -> Tangent:
-    """d/du = (-e^u/z, e^u/z)."""
-    eu = pt.ubarm1
-    return Tangent(LS.monomial(-1, -eu), LS.monomial(-1, eu))
+    """d/du = (-e^u/z, e^u/z); a row per point for a stack."""
+    eu = np.reshape(pt.ubarm1, np.shape(pt.ubarm1) + (1,))
+    return Tangent(LS(-1, -eu), LS(-1, eu))
 
 
 def euler_field(pt: Point) -> Tangent:
@@ -329,26 +318,28 @@ def _inv_window(pt: Point, *series: LS) -> tuple[int, int]:
 
 
 def eta_inverse(pt: Point, x: Tangent) -> Cotangent:
-    """Inverse metric map; certified division by w' on the circle."""
+    """Inverse metric map; certified division by w' on the circle.  A
+    stacked point gets a row per point."""
     num = x.a + x.ab
     lo, hi = _inv_window(pt, num)
     g = la.divide_on_circle(num, pt.w_p, lo, hi)
     w1 = g.project("geq", 1).shift(-2)
     w2 = g.project("leq", 2).shift(-2) + LS(
-        -1, [x.ab.coeff(-1) / pt.ubarm1, x.ab.coeff(0) / pt.ubarm1]
+        -1, np.stack([x.ab.coeff(-1) / pt.ubarm1, x.ab.coeff(0) / pt.ubarm1], axis=-1)
     )
     return Cotangent(w1, w2)
 
 
 def tan_mul(pt: Point, x: Tangent, y: Tangent) -> Tangent:
-    """Tangent product transported through the cotangent algebra."""
+    """Tangent product transported through the cotangent algebra; a row
+    per point for a stacked point."""
     return eta_apply(pt, cot_mul(pt, eta_inverse(pt, x), eta_inverse(pt, y)))
 
 
-def w_prime_vanishes(wp_vals: np.ndarray) -> bool:
-    """Whether the grid values of w' vanish somewhere, relative to their
-    size: min|w'| <= 1e-10 max(max|w'|, 1).  A NaN reads as vanishing."""
-    mags = np.abs(wp_vals)
+def vanishes_on_circle(vals: np.ndarray) -> bool:
+    """Whether grid values (of w or w') vanish somewhere, relative to their
+    size: min|f| <= 1e-10 max(max|f|, 1).  A NaN reads as vanishing."""
+    mags = np.abs(vals)
     return not float(np.min(mags)) > 1e-10 * max(float(np.max(mags)), 1.0)
 
 
@@ -365,7 +356,7 @@ def metric_tangent(pt: Point, x: Tangent, y: Tangent) -> complex:
     m = pt.quad_m(width)
     zs = la.unit_roots(m)
     (wp_vals,) = pt.on_grid(m, "w_p")
-    if w_prime_vanishes(wp_vals):
+    if vanishes_on_circle(wp_vals):
         raise la.ZeroOnCircle("w' vanishes on the circle")
     vals = la.grid_eval(xw, m) * la.grid_eval(yw, m) / (zs**2 * wp_vals)
     circle = la.contour_mean(vals)
@@ -494,7 +485,7 @@ def check_membership(pt: Point, grid_size: int | None = None) -> MembershipRepor
     wronskian_min = float(np.min(np.abs(lam_vals * bp_vals - lbar_vals * lp_vals)))
     ss_min = float(np.min(np.abs(lp_vals * bpp_vals - bp_vals * lpp_vals)))
 
-    nondegenerate = not w_prime_vanishes(wp_vals) and ub > 1e-10
+    nondegenerate = not vanishes_on_circle(wp_vals) and ub > 1e-10
     in_open_stratum = nondegenerate and winding == 1 and simple
     intersection_ok = min(lam_prime_min, lbar_prime_min, wronskian_min) > 1e-10
     semisimple_ok = ss_min > 1e-10

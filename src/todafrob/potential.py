@@ -14,7 +14,7 @@ import numpy as np
 from . import laurent as la
 from .flatcoords import flat_coordinates, log_ratio_pairing, point_from_flat
 from .laurent import LaurentSeries as LS
-from .manifold import Point, Tangent, ell_variation, euler_field, point_shift
+from .manifold import Point, Tangent, ell_variation, euler_field, point_shift, vanishes_on_circle
 
 # The tolerance of the potential suite: F is refused when rounding alone
 # could move it by more than this, relative to max(1, |F|).
@@ -160,6 +160,8 @@ def trilinear_form(pt: Point, x1: Tangent, x2: Tangent, x3: Tangent) -> complex:
     m = pt.quad_m(width + 16)
     zs = la.unit_roots(m)
     (wpv,) = pt.on_grid(m, "w_p")
+    if vanishes_on_circle(wpv):
+        raise la.ZeroOnCircle("w' vanishes on the circle")
     dwv = [la.grid_eval(f, m) for f in dw]
     dsv = [la.grid_eval(f, m) for f in ds]
     spv = la.grid_eval(s_p, m)

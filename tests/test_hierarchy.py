@@ -817,7 +817,7 @@ def test_integrate_computes_one_tail_report_per_step(monkeypatch):
 
 def chained_rk4_step(L: hi.LoopPoint, flow, h: float) -> hi.LoopPoint:
     """rk4_step's stages through LoopField add and scale, the arithmetic
-    its padded accumulation must reproduce bit for bit."""
+    any faster rk4_step must reproduce bit for bit."""
 
     def advance(t: hi.LoopTangent, c: float) -> hi.LoopPoint:
         return hi.LoopPoint(L.lam + t.a.scale(c), L.lbar + t.ab.scale(c))

@@ -6,10 +6,16 @@ A reference to a function is its bare name in its own module or after a
 `from ... import`, an attribute of a name bound to its module, or a
 string "module.function" (the benchmark's tracer names call sites so).
 References inside the function's own body and in docstrings do not count.
+
+A public method or property of a public package class needs a read of
+its name as an attribute (x.name) somewhere in `src/` or `benchmarks/`.
+That matches by name only, whatever the object, so it is a loose guard:
+a read of an unrelated attribute of the same name counts as a caller.
 """
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import re
 from pathlib import Path
@@ -97,6 +103,26 @@ def reached() -> set[tuple[str, str]]:
 def test_every_public_function_has_a_caller_outside_the_tests():
     unreached = public_functions() - reached() - set(REFERENCE_IMPLEMENTATIONS)
     assert not unreached, sorted(unreached)
+
+
+def public_members() -> set[tuple[str, str]]:
+    """(class, name) of each public method or property of a public class,
+    dunders and overrides of a base-class attribute left out."""
+    kinds = (property, functools.cached_property, staticmethod, classmethod)
+    return {(cname, name) for mod in MODULES.values() for cname, cls in vars(mod).items()
+            if not cname.startswith("_") and inspect.isclass(cls) and cls.__module__ == mod.__name__
+            for name, obj in vars(cls).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or isinstance(obj, kinds))
+            and not any(hasattr(base, name) for base in cls.__mro__[1:])}
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    files = sorted((ROOT / "src" / "todafrob").glob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
+    read = {node.attr for p in files for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute)}
+    members = public_members()
+    assert members, "no public members found"
+    assert not sorted(m for m in members if m[1] not in read)
 
 
 @pytest.mark.parametrize("ref", sorted(REFERENCE_IMPLEMENTATIONS))
