@@ -114,21 +114,9 @@ def _on_rows(block: np.ndarray, start: int, rows: int) -> np.ndarray:
 def _conv(a: np.ndarray, b: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
     """Exact z-convolution of two coefficient stacks, nodewise in x and
     not dealiased.  a and b may be the live rows of longer stacks whose
-    row counts are rows; the row loop runs over the operand whose stack
-    has fewer rows (a on a tie), as it would for the whole stacks."""
-    return _conv_over(b, a) if rows[0] > rows[1] else _conv_over(a, b)
-
-
-def _conv_over(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_conv with the row loop over a: row d of the result sums
-    a[i] * b[d - i] in increasing i."""
-    n1, n2 = a.shape[0], b.shape[0]
-    out = np.zeros((n1 + n2 - 1, a.shape[1]), dtype=complex)
-    term = np.empty_like(b, dtype=complex)
-    for i in range(n1):
-        np.multiply(a[i], b, out=term)
-        out[i : i + n2] += term
-    return out
+    row counts are rows; la.convolve_rows loops over the operand whose
+    stack has fewer rows (a on a tie), as it would for the whole stacks."""
+    return la.convolve_rows(b, a) if rows[0] > rows[1] else la.convolve_rows(a, b)
 
 
 def _live_product(f: LoopField, g: LoopField, raw) -> LoopField:
@@ -540,7 +528,7 @@ def _power_part(f: LoopField, n: int, kind: str, k: int) -> LoopField:
     for j in range(2, n + 1):
         # _field_power's products loop over the rows of f: f ** (j - 1)
         # has more rows, unless f has one row and so has every power
-        raw = _conv_over(base, out) if f.coeffs.shape[0] > 1 else _conv_over(out, base)
+        raw = la.convolve_rows(base, out) if f.coeffs.shape[0] > 1 else la.convolve_rows(out, base)
         lo, raw = part(lo + base_lo, raw, j)
         out = _dealias(raw)
     return LoopField(lo, out).project(kind, k)

@@ -193,17 +193,16 @@ class LaurentSeries:
                 return LaurentSeries.zero()
             if self.c.ndim == other.c.ndim == 1:
                 return LaurentSeries(self.lo + other.lo, np.convolve(self.c, other.c))
-            a, b = np.atleast_2d(self.c), np.atleast_2d(other.c)
-            out = np.zeros((max(len(a), len(b)), a.shape[1] + b.shape[1] - 1), dtype=complex)
-            for i in range(a.shape[1]):
-                out[:, i : i + b.shape[1]] += a[:, i : i + 1] * b
-            return LaurentSeries(self.lo + other.lo, out)
+            a, b = np.atleast_2d(self.c).T, np.atleast_2d(other.c).T
+            return LaurentSeries(self.lo + other.lo, convolve_rows(a, b).T)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def __pow__(self, n: int) -> "LaurentSeries":
+        if n < 0:
+            raise ValueError(f"series power needs n >= 0, got {n}")
         out = LaurentSeries.one()
         for _ in range(n):
             out = out * self
@@ -259,6 +258,18 @@ class LaurentSeries:
             out *= z
             out += ck
         return out * z**self.lo
+
+
+def convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact z-convolution of degree-major coefficients, broadcast over the other
+    axis (loop nodes, or a stack's series): row d sums a[i] * b[d - i] in increasing i."""
+    term, n = a[0] * b, len(b)
+    out = np.zeros((len(a) + n - 1,) + term.shape[1:], dtype=complex)
+    out[:n] += term
+    for i in range(1, len(a)):
+        np.multiply(a[i], b, out=term)
+        out[i : i + n] += term
+    return out
 
 
 def pi_op(f: LaurentSeries) -> LaurentSeries:

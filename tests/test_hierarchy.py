@@ -849,8 +849,8 @@ def test_rk4_step_is_bit_equal_to_the_loopfield_chain(flow, nodes):
 def test_rk4_step_widens_a_short_slot_as_the_chain_does(monkeypatch):
     # lam = z or lbar = e^u / z alone: a zero tangent slot lives at degree
     # 0, outside the slot, so the LoopField sums widen the slot by that
-    # row, and with lam = z the next stage's sbar1 flow fills it; the
-    # padded stages must do the same
+    # row, and with lam = z the next stage's sbar1 flow fills it; each
+    # step must keep the chain's bits on these widened slots too
     monkeypatch.setattr(hi, "TAIL_LIMIT", np.inf)  # the edge rows are the point
     short_lbar = hi.LoopPoint(L3.lam, hi.LoopField(-1, L3.lbar.coeffs[:1]))
     short_lam = hi.LoopPoint(hi.LoopField(1, np.ones((1, K), dtype=complex)), L3.lbar)
@@ -889,8 +889,8 @@ def test_truncated_powers_are_bit_equal_to_full_powers(nodes):
 def test_truncated_powers_multiply_only_the_rows_they_keep(monkeypatch):
     # H2 reads degrees >= -1 of lam ** 2, which only lam's rows -2..1 reach
     shapes = []
-    real = hi._conv_over
-    monkeypatch.setattr(hi, "_conv_over", lambda a, b: shapes.append(a.shape[0]) or real(a, b))
+    real = la.convolve_rows
+    monkeypatch.setattr(la, "convolve_rows", lambda a, b: shapes.append(a.shape[0]) or real(a, b))
     hi.hamiltonian(L3, 2)
     assert shapes == [4] and L3.lam.coeffs.shape[0] == 18
 

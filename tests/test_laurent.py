@@ -174,6 +174,49 @@ def test_sums_are_bit_equal_to_the_padded_windows(rows):
         assert_same_bits(f - g, padded_sum(f, g, -1.0))
 
 
+def column_loop_product(f: LS, g: LS) -> LS:
+    """A stacked product by a loop over the columns of the left operand,
+    the arithmetic the degree-major kernel must reproduce bit for bit."""
+    if f.is_zero or g.is_zero:
+        return LS.zero()
+    a, b = np.atleast_2d(f.c), np.atleast_2d(g.c)
+    out = np.zeros((max(len(a), len(b)), a.shape[1] + b.shape[1] - 1), dtype=complex)
+    for i in range(a.shape[1]):
+        out[:, i : i + b.shape[1]] += a[:, i : i + 1] * b
+    return LS(f.lo + g.lo, out)
+
+
+def mixed_coeffs(rng, shape) -> np.ndarray:
+    """sparse_coeffs with about half the entries replaced by random values."""
+    smooth = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.where(rng.random(shape) < 0.5, sparse_coeffs(rng, shape), smooth)
+
+
+@pytest.mark.parametrize("rows", [(None, 4), (4, None), (4, 4)],
+                         ids=["row-stack", "stack-row", "stack"])
+def test_stacked_products_are_bit_equal_to_the_column_loop(rows):
+    rng = np.random.default_rng(15)
+    for _ in range(400):
+        f, g = (LS(int(rng.integers(-5, 5)),
+                   mixed_coeffs(rng, (int(rng.integers(1, 9)),) if r is None
+                                else (r, int(rng.integers(1, 9)))))
+                for r in rows)
+        assert_same_bits(f * g, column_loop_product(f, g))
+    # one-coefficient left operands, as LS.one() * stack forms them
+    stack = LS(-3, mixed_coeffs(rng, (6, 33)))
+    column = LS(0, [[1.5], [-0.0], [1.0], [0.0], [-2.0], [3.0]])
+    for f in (LS.one(), LS.monomial(2, -2.0 + 1.5j), column):
+        assert_same_bits(f * stack, column_loop_product(f, stack))
+    assert_same_bits(stack * LS.one(), column_loop_product(stack, LS.one()))
+
+
+def test_negative_powers_are_refused():
+    f = LS(-1, [1.0, 2.0])
+    with pytest.raises(ValueError, match="n >= 0"):
+        f ** -1
+    assert_same_bits(f ** 0, LS.one())
+
+
 @pytest.mark.parametrize("shape", [(9,), (4, 9)], ids=["row", "stack"])
 def test_construction_is_the_scanned_normal_form_and_a_copy(shape):
     rng = np.random.default_rng(14)

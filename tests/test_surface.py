@@ -155,3 +155,22 @@ def hand_grid_evals(path: Path) -> list[str]:
 def test_point_series_reach_the_grid_only_through_on_grid():
     files = sorted((ROOT / "src" / "todafrob").glob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
     assert not [hit for p in files for hit in hand_grid_evals(p)]
+
+
+# Parameters with a default, positional and keyword-only, in src/todafrob.
+# Lower this whenever a knob is deleted, so a deleted one cannot come back.
+KEYWORD_DEFAULTS_CEILING = 66
+
+
+def keyword_defaults(path: Path) -> int:
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def test_keyword_defaults_do_not_grow():
+    """Every parameter with a default is a knob that a caller may set and
+    that must then be tested; the count may fall but not rise.  Lower
+    KEYWORD_DEFAULTS_CEILING whenever a knob is deleted."""
+    count = sum(keyword_defaults(p) for p in sorted((ROOT / "src" / "todafrob").glob("*.py")))
+    assert count <= KEYWORD_DEFAULTS_CEILING, count
