@@ -83,7 +83,7 @@ def du_grid(pt: Point, m: int, x: Tangent):
     return _du(lp, bp, la.grid_eval(x.a, m), la.grid_eval(x.ab, m))
 
 
-def semisimplicity_residual(pt: Point, x: Tangent, y: Tangent, m: int = 256) -> float:
+def semisimplicity_residual(pt: Point, x: Tangent, y: Tangent, m: int) -> float:
     """max_p |<du(p), x . y> - <du(p), x><du(p), y>| over the m-th roots
     of unity, by du_grid: lam' and lbar' are evaluated there once."""
     cx = du_grid(pt, m, x)
@@ -116,7 +116,7 @@ def flow_tag(flow) -> tuple[str, int | None]:
                      f"an int n >= 1, ('t', a) with an int a, 'u' or 'v'")
 
 
-def char_velocities(pt: Point, flow, m: int | None = None) -> np.ndarray:
+def char_velocities(pt: Point, flow, m: int) -> np.ndarray:
     """Characteristic velocities at the m-th roots of unity for one flow,
     by inverse FFT.
 
@@ -128,7 +128,6 @@ def char_velocities(pt: Point, flow, m: int | None = None) -> np.ndarray:
     velocities per point.
     """
     kind, n = flow_tag(flow)
-    m = m or max(pt.quad_m(8), 256)
     if kind == "u":
         return np.divide.outer(pt.ubarm1, la.unit_roots(m))
     if kind == "v":

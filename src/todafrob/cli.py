@@ -100,9 +100,9 @@ def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 @dataclass
 class RunConfig:
     seed: int | None = None
-    N: int = 16
-    n_max: int = 4
-    K: int = 32
+    N: int = vf.SIZES["N"]
+    n_max: int = vf.SIZES["n_max"]
+    K: int = vf.SIZES["K"]
     tolerances: dict = field(default_factory=dict)
     suites: list = field(default_factory=list)
     outdir: str = "."

@@ -57,8 +57,9 @@ class TailOverflow(ArithmeticError):
     """Spectral content piled up at a retained band edge."""
 
 
-DEFAULT_K = 32
-DEFAULT_N = 16
+# The retained z band of a sampled loop, degrees -LOOP_BAND..1 of lam and
+# -1..LOOP_BAND of lbar; the band N of a sampled point does not set it.
+LOOP_BAND = 16
 BLOWUP_LIMIT = 1e6
 TAIL_LIMIT = 1e-6
 
@@ -289,7 +290,7 @@ def _rows(fx: LoopField, part: LoopField) -> LoopField:
     return LoopField(part.lo, fx.coeffs[part.lo - fx.lo : part.hi - fx.lo + 1])
 
 
-# -- loop points, tangents, cotangents --------------------------------
+# -- loop points ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -335,38 +336,6 @@ class LoopPoint:
         return {"z_tail": z_tail, "x_tail": x_tail}
 
 
-@dataclass(frozen=True)
-class LoopTangent:
-    a: LoopField
-    ab: LoopField
-
-    def __post_init__(self):
-        if not self.a.is_zero and self.a.hi > 0:
-            raise ValueError("first slot must live in degrees <= 0")
-        if not self.ab.is_zero and self.ab.lo < -1:
-            raise ValueError("second slot must live in degrees >= -1")
-
-
-@dataclass(frozen=True)
-class LoopCotangent:
-    w1: LoopField
-    w2: LoopField
-
-    def __post_init__(self):
-        if not self.w1.is_zero and self.w1.lo < -1:
-            raise ValueError("first slot must live in degrees >= -1")
-        if not self.w2.is_zero and self.w2.hi > 0:
-            raise ValueError("second slot must live in degrees <= 0")
-
-
-def _slots(obj):
-    if isinstance(obj, LoopTangent):
-        return obj.a, obj.ab
-    if isinstance(obj, LoopCotangent):
-        return obj.w1, obj.w2
-    return obj
-
-
 def _nodes(f: LoopField) -> LS:
     """f read nodewise: a stack whose row k is the z-series at node k."""
     return LS(f.lo, f.coeffs.T)
@@ -390,13 +359,13 @@ def _pair_rows(f: LoopField, g: LoopField) -> np.ndarray:
     return out
 
 
-def loop_pair(o, t) -> complex:
-    """x-average of the nodewise residue pairing."""
-    w1, w2 = _slots(o)
-    a, ab = _slots(t)
-    if w1.nodes != a.nodes:
+def loop_pair(o: mf.Cotangent, t: tuple[LoopField, LoopField]) -> complex:
+    """x-average of the nodewise residue pairing of a loop cotangent with
+    the slots of a loop tangent, such as poisson1_apply returns."""
+    a, ab = t
+    if o.w1.nodes != a.nodes:
         raise la.GridMismatch("node counts differ")
-    return complex(np.mean(_pair_rows(w1, a) + _pair_rows(w2, ab)))
+    return complex(np.mean(_pair_rows(o.w1, a) + _pair_rows(o.w2, ab)))
 
 
 # -- seeded loops ------------------------------------------------------
@@ -404,8 +373,8 @@ def loop_pair(o, t) -> complex:
 
 def sample_loop(
     seed,
-    nodes: int = DEFAULT_K,
-    band: int = DEFAULT_N,
+    nodes: int,
+    band: int = LOOP_BAND,
     n: int = 3,
     scale: float = 0.05,
     mmax: int = 3,
@@ -456,9 +425,10 @@ def tail_report(L: LoopPoint) -> dict:
 def tangent_part(L: LoopPoint, dlam: LoopField, dlbar: LoopField):
     """Restrict a raw flow field to the tangent windows of the loop.
 
-    Returns the trimmed tangent and the relative size of everything
-    discarded; the degree-1 part of the first slot vanishes identically
-    for the implemented flows, so a large defect flags band overflow.
+    Returns the trimmed tangent, an mf.Tangent of loop fields, and the
+    relative size of everything discarded; the degree-1 part of the first
+    slot vanishes identically for the implemented flows, so a large defect
+    flags band overflow.
     Each field's row maxima are read once, for the scale, the trim and
     the defect."""
     top_a, top_ab = (np.abs(f.coeffs).max(axis=1) for f in (dlam, dlbar))
@@ -467,7 +437,7 @@ def tangent_part(L: LoopPoint, dlam: LoopField, dlbar: LoopField):
     scale = np.max((top_a.max(), top_ab.max(), 1e-300))
     a, a_out = _window(dlam, top_a, L.lam.lo, 0)
     ab, ab_out = _window(dlbar, top_ab, -1, L.lbar.hi)
-    return LoopTangent(a, ab), float(max(a_out, ab_out) / scale)
+    return mf.Tangent(a, ab), float(max(a_out, ab_out) / scale)
 
 
 def _window(f: LoopField, tops: np.ndarray, lo: int, hi: int) -> tuple[LoopField, float]:
@@ -625,7 +595,7 @@ def flow_rhs(L: LoopPoint, flow) -> tuple[LoopField, LoopField]:
     return dlam.scale(c), dlbar.scale(-c)
 
 
-def _flow_tangent(L: LoopPoint, flow) -> LoopTangent:
+def _flow_tangent(L: LoopPoint, flow) -> mf.Tangent:
     """The flow's tangent at L, refused when trimming it to the tangent
     windows discards more than TAIL_LIMIT of it, or a NaN share."""
     t, defect = tangent_part(L, *flow_rhs(L, flow))
@@ -664,7 +634,7 @@ def hamiltonian(L: LoopPoint, n: int, bar: bool = False) -> complex:
     return complex(-np.mean(row0) / (n + 1))
 
 
-def gradient(L: LoopPoint, n: int, bar: bool = False) -> LoopCotangent:
+def gradient(L: LoopPoint, n: int, bar: bool = False) -> mf.Cotangent:
     """Variational gradient of hamiltonian(L, n, bar), projected onto
     the cotangent bands that the pairing can see; orders below -1 raise
     ValueError."""
@@ -673,21 +643,22 @@ def gradient(L: LoopPoint, n: int, bar: bool = False) -> LoopCotangent:
     if n == -1:
         unit = const_field(LS(-1, [1.0]), nodes)
         if bar:
-            return LoopCotangent(zero_field(nodes), unit)
-        return LoopCotangent(unit, zero_field(nodes))
+            return mf.Cotangent(zero_field(nodes), unit)
+        return mf.Cotangent(unit, zero_field(nodes))
     if bar:
         p = _power_part(L.lbar, n, "leq", 1).shift(-1)
-        return LoopCotangent(zero_field(nodes), p.scale(-1.0))
+        return mf.Cotangent(zero_field(nodes), p.scale(-1.0))
     p = _power_part(L.lam, n, "geq", 0).shift(-1)
-    return LoopCotangent(p.scale(-1.0), zero_field(nodes))
+    return mf.Cotangent(p.scale(-1.0), zero_field(nodes))
 
 
 # -- Poisson operators -------------------------------------------------
 
 
-def poisson1_apply(L: LoopPoint, o) -> tuple[LoopField, LoopField]:
-    w1, w2 = _slots(o)
-    zo, zob = w1.shift(1), w2.shift(1)
+def poisson1_apply(L: LoopPoint, o: mf.Cotangent) -> tuple[LoopField, LoopField]:
+    """P1 applied to a loop cotangent, as the pair of its two slots, the
+    form poisson2_apply returns."""
+    zo, zob = o.w1.shift(1), o.w2.shift(1)
     br = pb(L.lam, zo) + pb(L.lbar, zob)
     d = zo - zob
     slot1 = pb(L.lam, d.project("leq", -1)).scale(-1.0) + br.project("leq", 0)
@@ -695,12 +666,14 @@ def poisson1_apply(L: LoopPoint, o) -> tuple[LoopField, LoopField]:
     return slot1, slot2
 
 
-def poisson2_apply(L: LoopPoint, o) -> tuple[LoopField, LoopField]:
-    w1, w2 = _slots(o)
-    zo, zob = w1.shift(1), w2.shift(1)
+def poisson2_apply(L: LoopPoint, o: mf.Cotangent) -> tuple[LoopField, LoopField]:
+    """P2 applied to a loop cotangent, as the pair of its two slots: the
+    first carries a degree-1 row that cancels only to rounding, so the
+    pair is no mf.Tangent."""
+    zo, zob = o.w1.shift(1), o.w2.shift(1)
     br = pb(L.lam, zo) + pb(L.lbar, zob)
     y = L.lam * zo + L.lbar * zob
-    phi = (L.lam.zdz() * w1 + L.lbar.zdz() * w2).residue()
+    phi = (L.lam.zdz() * o.w1 + L.lbar.zdz() * o.w2).residue()
     phi_x = _x_deriv_values(phi)
     slot1 = (
         pb(L.lam, y.project("leq", -1))
@@ -730,7 +703,7 @@ def recursion_residual(L: LoopPoint, n: int, bar: bool = False) -> float:
     return max(rec, direct)
 
 
-def primary_gradient_fd(L: LoopPoint, which) -> LoopCotangent:
+def primary_gradient_fd(L: LoopPoint, which) -> mf.Cotangent:
     """Gradient of the primary Hamiltonian (x-average of the matching
     first derivative of the potential) by centered differences of step
     1e-6 in the loop coefficients, on each slot's band and 12 degrees
@@ -765,7 +738,7 @@ def primary_gradient_fd(L: LoopPoint, which) -> LoopCotangent:
     lam_lo, bar_hi = L.lam.lo - 12, L.lbar.hi + 12
     w1 = np.array([diff(d, 0) for d in range(0, lam_lo - 1, -1)])
     w2 = np.array([diff(d, 1) for d in range(bar_hi, -2, -1)])
-    return LoopCotangent(LoopField(-1, w1).trim(), LoopField(-1 - bar_hi, w2).trim())
+    return mf.Cotangent(LoopField(-1, w1).trim(), LoopField(-1 - bar_hi, w2).trim())
 
 
 # -- time stepping -----------------------------------------------------
@@ -782,7 +755,7 @@ def rk4_step(L: LoopPoint, flow, h: float) -> LoopPoint:
     if not math.isfinite(h):
         raise BlowUp(f"non-finite step h={h!r}")
 
-    def advance(t: LoopTangent, c: float) -> LoopPoint:
+    def advance(t: mf.Tangent, c: float) -> LoopPoint:
         return LoopPoint(L.lam + t.a.scale(c), L.lbar + t.ab.scale(c))
 
     k1 = _flow_tangent(L, flow)
@@ -791,7 +764,7 @@ def rk4_step(L: LoopPoint, flow, h: float) -> LoopPoint:
     k4 = _flow_tangent(advance(k3, h), flow)
     a = k1.a + k2.a.scale(2.0) + k3.a.scale(2.0) + k4.a
     ab = k1.ab + k2.ab.scale(2.0) + k3.ab.scale(2.0) + k4.ab
-    out = advance(LoopTangent(a, ab), h / 6.0)
+    out = advance(mf.Tangent(a, ab), h / 6.0)
     _check_magnitude(out)
     tails = tail_report(out)
     if not (tails["z_tail"] <= TAIL_LIMIT and tails["x_tail"] <= TAIL_LIMIT):

@@ -203,8 +203,10 @@ class LaurentSeries:
     def __pow__(self, n: int) -> "LaurentSeries":
         if n < 0:
             raise ValueError(f"series power needs n >= 0, got {n}")
-        out = LaurentSeries.one()
-        for _ in range(n):
+        if n == 0:
+            return LaurentSeries.one()
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -2,9 +2,12 @@
 
 Every suite is a plain function that measures residuals and returns them
 unjudged; run_suite judges them against the tolerance declared once in
-SUITES.  Sizes default to quick desk-scale runs and are widened by
-callers that need the full budget.  Randomized suites take an explicit
-seed so reruns are reproducible bit for bit.
+SUITES.  The band N, frame range n_max and node count K are declared
+once, in SIZES: a suite's sized keywords (Suite.sizes) have no default,
+and run_suite fills each one the caller leaves out from SIZES, the sizes
+`todafrob verify` ships.  Callers that need a wider run pass wider
+sizes.  Randomized suites take an explicit seed so reruns are
+reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -91,7 +94,7 @@ def _gram_expected(ka, kb) -> float:
 # -- flat metric and Frobenius algebra ----------------------------------
 
 
-def suite_gram(seed: int, *, points: int = 4, n: int = 16, kmax: int = 4) -> _Acc:
+def suite_gram(seed: int, *, n: int, kmax: int, points: int = 4) -> _Acc:
     """Gram matrix of the flat metric vs the constant antidiagonal."""
     acc = _Acc()
     for i in range(points):
@@ -107,7 +110,7 @@ def suite_gram(seed: int, *, points: int = 4, n: int = 16, kmax: int = 4) -> _Ac
     return acc
 
 
-def suite_frobenius(seed: int, *, samples: int = 12, n: int = 14) -> _Acc:
+def suite_frobenius(seed: int, *, n: int, samples: int = 12) -> _Acc:
     """Associativity, commutativity, invariance and the unit of cot_mul."""
     acc = _Acc()
     e_tan = mf.unit_tangent()
@@ -133,7 +136,7 @@ def suite_frobenius(seed: int, *, samples: int = 12, n: int = 14) -> _Acc:
 # -- potential -----------------------------------------------------------
 
 
-def suite_potential(seed: int, *, points: int = 3, n: int = 14, triples: int = 10) -> _Acc:
+def suite_potential(seed: int, *, n: int, points: int = 3, triples: int = 10) -> _Acc:
     """Trilinear form vs exact triple derivatives in the flat chart."""
     labels = [("t", k) for k in range(-3, 4)] + ["u", "v"]
     rng = np.random.default_rng(seed + 1000)
@@ -166,7 +169,7 @@ def suite_potential_fd(seed: int) -> _Acc:
     return acc
 
 
-def suite_quasihomogeneity(seed: int, *, points: int = 3, n: int = 14) -> _Acc:
+def suite_quasihomogeneity(seed: int, *, n: int, points: int = 3) -> _Acc:
     acc = _Acc()
     for i in range(points):
         pt = mf.sample_point(seed + 60 + i, n=n)
@@ -269,12 +272,16 @@ def _small_quantum_table(u: float, v: float, acc: _Acc) -> None:
     acc.add(po.trilinear_form(pt, t_v, t_v, t_v))
 
 
-def suite_tables(seed: int, *, kmax: int = 5) -> _Acc:
+# Frame range |i|, |j| <= TABLES_KMAX of the closed-form tables.
+TABLES_KMAX = 5
+
+
+def suite_tables(seed: int) -> _Acc:
     """Closed-form product tables; deterministic, seed unused."""
     acc = _Acc()
-    _locus_table(0.0, 0.0, kmax, acc)
-    _locus_table(0.3, -0.2, kmax, acc)
-    _reduced_table(kmax, acc)
+    _locus_table(0.0, 0.0, TABLES_KMAX, acc)
+    _locus_table(0.3, -0.2, TABLES_KMAX, acc)
+    _reduced_table(TABLES_KMAX, acc)
     # deep enough that the geometric tail of 1/w' clears the default grid
     _small_quantum_table(-1.5, 0.25, acc)
     return acc
@@ -283,7 +290,7 @@ def suite_tables(seed: int, *, kmax: int = 5) -> _Acc:
 # -- intersection form ---------------------------------------------------
 
 
-def suite_intersection(seed: int, *, samples: int = 10, n: int = 14) -> _Acc:
+def suite_intersection(seed: int, *, n: int, samples: int = 10) -> _Acc:
     """Defining relation of the second metric and the gamma round-trip."""
     acc = _Acc()
     made = 0
@@ -296,12 +303,14 @@ def suite_intersection(seed: int, *, samples: int = 10, n: int = 14) -> _Acc:
         try:
             g2 = mf.gamma_apply(pt, o2)
             lhs = mf.pair(mf.cot_mul(pt, o1, o2), mf.euler_field(pt))
-            acc.add(lhs - mf.pair(o1, g2))
-            acc.add(mf.gamma_inverse(pt, g2).dist(o2))
+            residuals = (lhs - mf.pair(o1, g2), mf.gamma_inverse(pt, g2).dist(o2))
         except (la.ZeroOnCircle, la.WindingNonzero, la.WindingUnresolved,
                 la.TruncationLoss):
-            # nondegeneracy fails on the circle: outside the valid locus
+            # nondegeneracy fails on the circle: outside the valid locus,
+            # and no residual of the sample is counted
             continue
+        for r in residuals:
+            acc.add(r)
         made += 1
     return acc
 
@@ -309,7 +318,7 @@ def suite_intersection(seed: int, *, samples: int = 10, n: int = 14) -> _Acc:
 # -- canonical coordinates ------------------------------------------------
 
 
-def suite_semisimplicity(seed: int, *, samples: int = 6, n: int = 14) -> _Acc:
+def suite_semisimplicity(seed: int, *, n: int, samples: int = 6) -> _Acc:
     """du(p) is an algebra character: pairing factorizes over products."""
     acc = _Acc()
     for s in range(samples):
@@ -320,7 +329,7 @@ def suite_semisimplicity(seed: int, *, samples: int = 6, n: int = 14) -> _Acc:
     return acc
 
 
-def suite_canonical(seed: int, *, points: int = 3, n: int = 14) -> _Acc:
+def suite_canonical(seed: int, *, n: int, points: int = 3) -> _Acc:
     """The Euler field evaluates to the canonical coordinate itself."""
     acc = _Acc()
     for i in range(points):
@@ -372,7 +381,7 @@ def _loop_dist(A: hi.LoopPoint, B: hi.LoopPoint) -> float:
     return max(hi.field_dist(A.lam, B.lam), hi.field_dist(A.lbar, B.lbar))
 
 
-def suite_poisson(seed: int, *, nodes: int = 32) -> _Acc:
+def suite_poisson(seed: int, *, nodes: int) -> _Acc:
     """Skew-symmetry of both operators and their single-mode symbols."""
     L = hi.sample_loop(seed + 600, nodes=nodes)
     acc = _Acc()
@@ -380,8 +389,8 @@ def suite_poisson(seed: int, *, nodes: int = 32) -> _Acc:
     pt = mf.sample_point(seed + 660, n=14)
     LC = hi.from_point(pt, nodes)
 
-    def mode_cot(o: mf.Cotangent, kappa: int) -> hi.LoopCotangent:
-        return hi.LoopCotangent(*single_mode(nodes, kappa, o.w1, o.w2))
+    def mode_cot(o: mf.Cotangent, kappa: int) -> mf.Cotangent:
+        return mf.Cotangent(*single_mode(nodes, kappa, o.w1, o.w2))
 
     for s in range(3):
         o1 = mode_cot(mf.sample_cotangent(seed + 610 + 2 * s), int(rng.integers(1, 4)))
@@ -399,24 +408,26 @@ def suite_poisson(seed: int, *, nodes: int = 32) -> _Acc:
     return acc
 
 
-# RK4 step sizes the hierarchy suite tries, coarsest first; each is a
-# whole number of steps in the suite's T = 0.1.
+# The hierarchy suite integrates each flow to HIERARCHY_T with the RK4
+# step sizes of HIERARCHY_STEPS, coarsest first; each is a whole number
+# of steps in HIERARCHY_T.
+HIERARCHY_T = 0.1
 HIERARCHY_STEPS = (2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 
-def suite_hierarchy(seed: int, *, nodes: int = 32, T: float = 0.1) -> _Acc:
+def suite_hierarchy(seed: int, *, nodes: int) -> _Acc:
     """Bihamiltonian recursion plus conservation along the first flows.
 
-    Each flow is integrated to T with the steps of HIERARCHY_STEPS in
-    turn.  After each step halving, est = |L_h(T) - L_2h(T)| / 15 is the
-    step-doubling (Richardson) estimate of the finer run's error at T for
-    a fourth-order method.  The finer run is accepted once est falls
-    below the gate SUITES["hierarchy"].tol / 100, and the drift of H1,
-    Hbar1 and H2 along its ledger is the residual; on descent it becomes
-    the next coarse run, so no step size is integrated twice.  A flow
-    that no step on the ladder brings below the gate makes the residual
-    NaN, so the suite fails.  One note gives each flow's step and
-    estimate.
+    Each flow is integrated to T = HIERARCHY_T with the steps of
+    HIERARCHY_STEPS in turn.  After each step halving, est =
+    |L_h(T) - L_2h(T)| / 15 is the step-doubling (Richardson) estimate of
+    the finer run's error at T for a fourth-order method.  The finer run
+    is accepted once est falls below the gate SUITES["hierarchy"].tol /
+    100, and the drift of H1, Hbar1 and H2 along its ledger is the
+    residual; on descent it becomes the next coarse run, so no step size
+    is integrated twice.  A flow that no step on the ladder brings below
+    the gate makes the residual NaN, so the suite fails.  One note gives
+    each flow's step and estimate.
     """
     L = hi.sample_loop(seed + 800, nodes=nodes)
     acc = _Acc()
@@ -426,7 +437,8 @@ def suite_hierarchy(seed: int, *, nodes: int = 32, T: float = 0.1) -> _Acc:
     gate = SUITES["hierarchy"].tol / 100
 
     def run(flow, h):
-        snaps, ledger = hi.integrate(L, flow, T, h, record_every=max(1, round(T / h)))
+        snaps, ledger = hi.integrate(L, flow, HIERARCHY_T, h,
+                                     record_every=max(1, round(HIERARCHY_T / h)))
         return snaps[-1][1], ledger
 
     picked = []
@@ -453,7 +465,7 @@ def suite_hierarchy(seed: int, *, nodes: int = 32, T: float = 0.1) -> _Acc:
     return acc
 
 
-def suite_commutators(seed: int, *, nodes: int = 32) -> _Acc:
+def suite_commutators(seed: int, *, nodes: int) -> _Acc:
     """First-order decay of flow commutators under step halving.
 
     The residual is the worst ratio C(h/2) / max(C(h)/1.8, 1e-13); a
@@ -481,7 +493,7 @@ def suite_commutators(seed: int, *, nodes: int = 32) -> _Acc:
     return acc
 
 
-def suite_transport(seed: int, *, nodes: int = 32) -> _Acc:
+def suite_transport(seed: int, *, nodes: int) -> _Acc:
     """Riemann-invariant transport for the primary flows and the Lax
     cross-check; the residual of the printed n-divided velocity is
     reported in the notes."""
@@ -502,7 +514,7 @@ def suite_transport(seed: int, *, nodes: int = 32) -> _Acc:
     return acc
 
 
-def suite_rk4(seed: int, *, nodes: int = 32) -> _Acc:
+def suite_rk4(seed: int, *, nodes: int) -> _Acc:
     """|error ratio - 16| under step halving for the classical stepper."""
     L = hi.sample_loop(seed + 880, nodes=nodes, scale=0.12)
     T = 0.08
@@ -570,8 +582,15 @@ def suite_certificates(seed: int, *, trials: int = 10) -> _Acc:
 
 class Suite(NamedTuple):
     tol: float
-    sizes: dict = {}  # suite keyword -> the RunConfig field that sets it
+    sizes: dict = {}  # suite keyword -> the SIZES and RunConfig field that sets it
     randomized: bool = True
+
+
+# The one default of each size: the band N of a sampled point, the flat
+# frame range n_max and the loop node count K.  cli.RunConfig reads its
+# defaults from here, and run_suite fills the sized keywords of a suite
+# that the caller leaves out.
+SIZES = {"N": 16, "n_max": 4, "K": 32}
 
 
 _POINT = {"n": "N"}
@@ -604,8 +623,10 @@ SUITE_ORDER = list(SUITES)
 
 
 def run_suite(name: str, seed: int, tol: float | None = None, **sizes) -> SuiteResult:
-    """Run a registered suite and judge it against its tolerance."""
+    """Run a registered suite and judge it against its tolerance; each
+    sized keyword of the suite that sizes leaves out is read from SIZES."""
     suite = SUITES[name]
+    sizes = {kw: SIZES[f] for kw, f in suite.sizes.items()} | sizes
     acc = globals()["suite_" + name.replace("-", "_")](seed, **sizes)
     tol = suite.tol if tol is None else tol
     return SuiteResult(name, acc.count, acc.worst, tol, tuple(acc.notes))

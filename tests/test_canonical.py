@@ -155,12 +155,12 @@ def test_lax_velocity_reduces_to_printed_case():
 
 def test_semisimplicity():
     e = mf.unit_tangent()
-    assert ca.semisimplicity_residual(PT, e, e) < 1e-12
+    assert ca.semisimplicity_residual(PT, e, e, 256) < 1e-12
     x = mf.sample_tangent(5)
     y = mf.sample_tangent(6)
-    assert ca.semisimplicity_residual(PT, x, y) < 1e-8
-    assert ca.semisimplicity_residual(PTF, x, y) < 1e-8
-    assert ca.semisimplicity_residual(PT, x, mf.frame_u(PT)) < 1e-8
+    assert ca.semisimplicity_residual(PT, x, y, 256) < 1e-8
+    assert ca.semisimplicity_residual(PTF, x, y, 256) < 1e-8
+    assert ca.semisimplicity_residual(PT, x, mf.frame_u(PT), 256) < 1e-8
 
 
 def test_semisimplicity_residual_reads_the_grid_once(monkeypatch):
@@ -181,7 +181,7 @@ def test_semisimplicity_residual_reads_the_grid_once(monkeypatch):
         return real(f, m)
 
     monkeypatch.setattr(la, "grid_eval", counted)
-    grid = ca.semisimplicity_residual(pt, x, y)
+    grid = ca.semisimplicity_residual(pt, x, y, 256)
     assert evaluations["evaluate"] == 0
     assert grids == Counter({("lam_p", 256): 1, ("lbar_p", 256): 1})
     assert abs(grid - horner) < 1e-12 and grid < 1e-12

@@ -217,6 +217,20 @@ def test_negative_powers_are_refused():
     assert_same_bits(f ** 0, LS.one())
 
 
+def test_a_power_starts_from_the_series(monkeypatch):
+    # x ** n forms n - 1 products: x ** 1 is x itself, x ** 0 is one
+    stack = LS(-3, mixed_coeffs(np.random.default_rng(16), (4, 9)))
+    products = []
+    real = la.convolve_rows
+    monkeypatch.setattr(la, "convolve_rows", lambda a, b: products.append(1) or real(a, b))
+    assert_same_bits(stack ** 1, stack)
+    assert not products
+    assert_same_bits(stack ** 0, LS.one())
+    assert not products
+    assert_same_bits(stack ** 3, stack * stack * stack)
+    assert len(products) == 4
+
+
 @pytest.mark.parametrize("shape", [(9,), (4, 9)], ids=["row", "stack"])
 def test_construction_is_the_scanned_normal_form_and_a_copy(shape):
     rng = np.random.default_rng(14)

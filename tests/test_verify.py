@@ -16,6 +16,7 @@ import pytest
 import todafrob.cli as cli
 import todafrob.flatcoords as fc
 import todafrob.hierarchy as hi
+import todafrob.laurent as la
 import todafrob.manifold as mf
 import todafrob.verify as vf
 
@@ -25,12 +26,17 @@ def fn_name(suite: str) -> str:
 
 
 def test_registry_matches_the_suite_functions():
-    config_fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    config = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
     for name, suite in vf.SUITES.items():
         params = inspect.signature(getattr(vf, fn_name(name))).parameters
         assert "tol" not in params, name
         assert set(suite.sizes) <= set(params), name
-        assert set(suite.sizes.values()) <= config_fields, name
+        assert set(suite.sizes.values()) <= set(vf.SIZES), name
+        # a sized keyword has one default, in vf.SIZES, not a second one here
+        for kw in suite.sizes:
+            assert params[kw].default is inspect.Parameter.empty, (name, kw)
+    # the command line ships the sizes of vf.SIZES
+    assert vf.SIZES == {f: config[f] for f in ("N", "n_max", "K")}
     assert vf.SUITE_ORDER == list(vf.SUITES)
     assert vf.DEFAULT_TOLERANCES == {n: s.tol for n, s in vf.SUITES.items()}
 
@@ -90,6 +96,24 @@ def test_a_suite_that_tested_no_points_fails():
     assert not res.passed
 
 
+def test_a_refused_intersection_sample_counts_no_residual(monkeypatch):
+    # the sample whose gamma round-trip refuses is skipped whole: its
+    # first residual, formed before the refusal, is not counted either
+    calls = []
+    real = mf.gamma_inverse
+
+    def refuse_once(pt, x):
+        calls.append(1)
+        if len(calls) == 1:
+            raise la.TruncationLoss("forced")
+        return real(pt, x)
+
+    monkeypatch.setattr(mf, "gamma_inverse", refuse_once)
+    res = vf.run_suite("intersection", 42, samples=4)
+    assert len(calls) == 5
+    assert res.points_tested == 2 * 4 and res.passed
+
+
 def test_potential_fd_widens_the_chart_at_seed_32():
     # the w spectrum tail at seed 32 is 1.57e-12 on [-100, 100]: the
     # chart rebuild widens to [-140, 140] instead of refusing
@@ -132,7 +156,7 @@ def test_every_hierarchy_flow_accepts_h_of_1e_2_at_seed_42():
 
 def test_hierarchy_takes_45_rk4_steps_at_seed_42(monkeypatch):
     steps = count_steps(monkeypatch)
-    vf.suite_hierarchy(42)
+    vf.suite_hierarchy(42, nodes=32)
     # per flow: 5 steps at h = 2e-2 and 10 at the accepted 1e-2
     assert sum(steps.values()) == 45
 
@@ -140,7 +164,7 @@ def test_hierarchy_takes_45_rk4_steps_at_seed_42(monkeypatch):
 def test_a_tighter_gate_descends_and_integrates_each_step_once(monkeypatch):
     set_hierarchy_tol(monkeypatch, 1e-10)  # gate 1e-12
     steps = count_steps(monkeypatch)
-    acc = vf.suite_hierarchy(42)
+    acc = vf.suite_hierarchy(42, nodes=32)
     used = collections.defaultdict(list)
     for (flow, h), n in steps.items():
         assert n == round(0.1 / h), (flow, h)
