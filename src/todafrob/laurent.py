@@ -602,30 +602,33 @@ def first_certified(op, bands):
 def taylor_reciprocal_at_zero(f: LaurentSeries, order: int) -> LaurentSeries:
     """Taylor expansion of 1/f at z=0 through degree `order`.
 
-    Requires f regular at 0 with f(0) != 0; exact long-division
-    recurrence, no sampling involved.
+    Requires f regular at 0 with f(0) != 0 (in every row of a stack);
+    exact long-division recurrence, no sampling involved.
     """
     if f.is_zero or f.lo < 0:
         raise SingularAtZero("reciprocal at z=0 needs a regular nonvanishing germ")
     c0 = f.coeff(0)
-    if abs(c0) < 1e-300:
+    if not np.min(np.abs(c0)) >= 1e-300:
         raise SingularAtZero("series vanishes at z=0")
     a = f.window(0, order)
-    g = np.zeros(order + 1, dtype=complex)
-    g[0] = 1.0 / c0
+    g = np.zeros(a.shape, dtype=complex)
+    g[..., 0] = 1.0 / c0
     for n in range(1, order + 1):
-        g[n] = -np.dot(a[1 : n + 1], g[n - 1 :: -1]) / c0
+        lower, upper = a[..., 1 : n + 1], g[..., n - 1 :: -1]
+        # one row keeps np.dot; a stack sums the products row by row
+        dot = np.dot(lower, upper) if a.ndim == 1 else np.sum(lower * upper, axis=-1)
+        g[..., n] = -dot / c0
     return LaurentSeries(0, g)
 
 
-def contour_mean(values: np.ndarray, radius: float = 1.0):
-    """(1/2 pi i) * contour integral of f dz from samples on |z|=radius
-    (the last axis; one mean per row for stacked values).
+def contour_mean(values: np.ndarray):
+    """(1/2 pi i) * contour integral of f dz from samples on the unit
+    circle (the last axis; one mean per row for stacked values).
 
     Trapezoidal rule on a circle: exact for banded integrands once the
     grid resolves the band, exponentially accurate for analytic ones.
     """
     values = np.asarray(values)
-    mean = (values * (radius * unit_roots(values.shape[-1]))).mean(axis=-1)
+    mean = (values * unit_roots(values.shape[-1])).mean(axis=-1)
     return complex(mean) if mean.ndim == 0 else mean
 

@@ -6,7 +6,11 @@ coefficient.  Cotangent vectors live in bands ([-1, *], [*, 0]),
 tangent vectors in ([*, 0], [-1, *]).  The cotangent product, the
 metric map eta, and the intersection map gamma are exact banded
 operations; only their inverses reintroduce certified truncation
-through division on the circle grid.
+through division on the circle grid.  The inverses that feed those
+products (negative powers of w, and eta_inverse) return the band they
+resolve: the columns of the division window that hold only rounding
+noise are dropped (_resolved), so a product downstream works on the
+data's width, not the window's.
 """
 
 from __future__ import annotations
@@ -20,6 +24,26 @@ from .laurent import LaurentSeries as LS
 
 # Half-width of the recovery band used by the certified inversions.
 MIN_INV_HALFBAND = 120
+
+
+def _resolved(g: LS) -> LS:
+    """The certified quotient g without the columns at either end of its
+    band where every row is at or below eps times that row's largest
+    |coefficient|: the FFT recovery cannot resolve them, so they are
+    rounding noise that every exact product downstream would carry.
+
+    Only Point.w_pow (negative powers) and eta_inverse trim.  The laurent
+    circle ops and the loop layer (w_power_field, log_w_field) keep their
+    full quotients, since a moved t:-1 or t:-2 bit moves the loop flows'
+    refusals.  gamma_inverse keeps its full r too: its inner divisions
+    take their window from r's band, and on a trimmed r most of them
+    refuse (TruncationLoss)."""
+    if g.is_zero:
+        return g
+    mag = np.abs(g.c)
+    above = mag > np.finfo(float).eps * mag.max(axis=-1, keepdims=True)
+    cols = np.nonzero(above if above.ndim == 1 else above.any(axis=0))[0]
+    return LS(g.lo + int(cols[0]), g.c[..., cols[0] : cols[-1] + 1])
 
 
 def _band_check(f: LS, lo: int | None, hi: int | None, name: str) -> None:
@@ -181,11 +205,15 @@ class Point:
 
     @property
     def ell_recip(self) -> LS:
-        """Taylor reciprocal of z^2 ell' = z^2 - e^u at z=0."""
-        return self._get(
-            "ell_recip",
-            lambda: la.taylor_reciprocal_at_zero(LS(0, [-self.ubarm1, 0.0, 1.0]), 6),
-        )
+        """Taylor reciprocal of z^2 ell' = z^2 - e^u at z=0; a row per
+        point for a stack."""
+
+        def build():
+            b = self.ubarm1
+            germ = np.stack([-b, np.zeros_like(b), np.ones_like(b)], axis=-1)
+            return la.taylor_reciprocal_at_zero(LS(0, germ), 6)
+
+        return self._get("ell_recip", build)
 
     @property
     def inv_halfband(self) -> int:
@@ -195,13 +223,14 @@ class Point:
         return la.default_grid_size(2 * self.band_n + extra_width)
 
     def w_pow(self, m: int) -> LS:
-        """Certified power of w = lam + lbar (negative m by grid division)."""
+        """Certified power of w = lam + lbar (negative m by grid division,
+        on the band the division resolves)."""
 
         def build():
             if m >= 0:
                 return self.w**m
             h = self.inv_halfband
-            return la.divide_on_circle(LS.one(), self.w**-m, -h + m, h + m)
+            return _resolved(la.divide_on_circle(LS.one(), self.w**-m, -h + m, h + m))
 
         return self._get(("w_pow", m), build)
 
@@ -233,8 +262,8 @@ def euler_field(pt: Point) -> Tangent:
 
 
 def ell_variation(x: Tangent) -> LS:
-    """Variation of ell: ab_0 + ab_{-1}/z."""
-    return LS(-1, [x.ab.coeff(-1), x.ab.coeff(0)])
+    """Variation of ell: ab_0 + ab_{-1}/z; a row per point for a stack."""
+    return LS(-1, np.stack([x.ab.coeff(-1), x.ab.coeff(0)], axis=-1))
 
 
 def diff_u(pt: Point) -> Cotangent:
@@ -318,11 +347,11 @@ def _inv_window(pt: Point, *series: LS) -> tuple[int, int]:
 
 
 def eta_inverse(pt: Point, x: Tangent) -> Cotangent:
-    """Inverse metric map; certified division by w' on the circle.  A
-    stacked point gets a row per point."""
+    """Inverse metric map; certified division by w' on the circle, on the
+    band the division resolves.  A stacked point gets a row per point."""
     num = x.a + x.ab
     lo, hi = _inv_window(pt, num)
-    g = la.divide_on_circle(num, pt.w_p, lo, hi)
+    g = _resolved(la.divide_on_circle(num, pt.w_p, lo, hi))
     w1 = g.project("geq", 1).shift(-2)
     w2 = g.project("leq", 2).shift(-2) + LS(
         -1, np.stack([x.ab.coeff(-1) / pt.ubarm1, x.ab.coeff(0) / pt.ubarm1], axis=-1)
@@ -344,7 +373,7 @@ def vanishes_on_circle(vals: np.ndarray) -> bool:
 
 
 def metric_tangent(pt: Point, x: Tangent, y: Tangent) -> complex:
-    """Flat metric on variations.
+    """Flat metric on variations; one value per point for a stack.
 
     Circle term: (1/2 pi i) contour of dx(w) dy(w) / (z^2 w');
     correction: residue at z=0 of dx(ell) dy(ell) / (z^2 ell').
@@ -527,7 +556,7 @@ def diagonal_point(u: complex, v: complex) -> Point:
     return Point(f, f)
 
 
-def sample_point(seed, n: int = 24, scale: float = 0.05, rho: float = 0.7) -> Point:
+def sample_point(seed, n: int, scale: float = 0.05, rho: float = 0.7) -> Point:
     """Seeded random point of the open stratum.
 
     Template z - v - e^u/z plus decaying tails in degrees [-n, -2] of

@@ -20,7 +20,7 @@ from todafrob import laurent as la
 from todafrob import manifold as mf
 from todafrob.laurent import LaurentSeries as LS
 
-PT = mf.sample_point(11)
+PT = mf.sample_point(11, n=24)
 
 
 def rh_split_coefficients(pt, n_min, n_max, m=2048, k=128):
@@ -218,7 +218,7 @@ def test_chart_moments_match_per_n_powers():
 def test_t_minus_1_is_minus_w0():
     # integrating log(z/w) w' by parts leaves -(1/2 pi i) contour of w/z dz
     for seed, c in [(11, 0.1 + 0.05j), (3, -0.2), (7, 0.3j)]:
-        pt = mf.sample_point(seed)
+        pt = mf.sample_point(seed, n=24)
         pt = mf.Point(pt.lam + LS(0, [c]), pt.lbar)
         w0 = pt.lam.coeff(0) + pt.lbar.coeff(0)
         assert abs(w0) > 0.1

@@ -27,7 +27,7 @@ L3 = hi.sample_loop(3, nodes=32)
 K = L3.nodes
 X = 2.0 * np.pi * np.arange(K) / K
 
-PT = mf.sample_point(5)
+PT = mf.sample_point(5, n=24)
 LC = hi.from_point(PT, K)
 
 
@@ -686,8 +686,11 @@ LOOPS = {K_: hi.sample_loop(11, nodes=K_) for K_ in (32, 128)}
 
 
 def t_minus_2_generator(L: hi.LoopPoint) -> hi.LoopField:
-    # the cap band of Point.w_pow (241 rows), not the half grid's 119
-    q = hi._node_points(L).w_pow(-1)
+    # 1/w on the cap band of the loop layer (241 rows), not the half grid's
+    # 119: the full quotient, which Point.w_pow(-1) would trim
+    pt = hi._node_points(L)
+    h = pt.inv_halfband
+    q = la.divide_on_circle(LS.one(), pt.w, -h - 1, h - 1)
     return hi.LoopField(q.lo, q.c.T).trim().project("leq", -1)
 
 

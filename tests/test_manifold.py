@@ -30,7 +30,7 @@ P2 = 1.2 * np.exp(-0.4j)
 Q1 = np.exp(-1.1j) / 1.35
 Q2 = np.exp(0.9j) / 1.2
 
-PT = mf.sample_point(11)
+PT = mf.sample_point(11, n=24)
 E_STAR = mf.unit_cotangent(PT)
 E_VEC = mf.unit_tangent()
 
@@ -427,7 +427,7 @@ def test_point_refuses_non_finite_coefficients(bad):
 
 
 def test_stacked_point_has_one_u_per_row():
-    pts = [mf.sample_point(s) for s in (1, 2, 3)]
+    pts = [mf.sample_point(s, n=24) for s in (1, 2, 3)]
     stacked = mf.Point(LS(-24, np.stack([p.lam.window(-24, 1) for p in pts])),
                        LS(-1, np.stack([p.lbar.window(-1, 24) for p in pts])))
     assert isinstance(pts[0].u, complex)
@@ -435,7 +435,7 @@ def test_stacked_point_has_one_u_per_row():
 
 
 def test_stacked_point_gets_a_row_per_point_from_the_tangent_algebra():
-    pts = [mf.sample_point(s) for s in (1, 2, 3)]
+    pts = [mf.sample_point(s, n=24) for s in (1, 2, 3)]
     stacked = mf.Point(LS(-24, np.stack([p.lam.window(-24, 1) for p in pts])),
                        LS(-1, np.stack([p.lbar.window(-1, 24) for p in pts])))
     x, y = mf.sample_tangent(31, n=6), mf.sample_tangent(32, n=6)
@@ -461,3 +461,99 @@ def test_w_pow_certified():
     w2 = PT.w_pow(-2)
     assert la.series_dist(w2 * PT.w, winv) < 1e-10
 
+
+# -- stacked points and resolved bands -----------------------------------
+
+
+def stack_points(pts: list, n: int) -> mf.Point:
+    """The points of band n as one stacked Point, a row per point."""
+    return mf.Point(LS(-n, np.stack([p.lam.window(-n, 1) for p in pts])),
+                    LS(-1, np.stack([p.lbar.window(-1, n) for p in pts])))
+
+
+def test_stacked_metric_tangent_has_a_value_per_point():
+    pts = [mf.sample_point(s, n=24) for s in (1, 2, 3)]
+    stacked = stack_points(pts, 24)
+    x, y, z = (mf.sample_tangent(s, n=6) for s in (31, 32, 33))
+    got = mf.metric_tangent(stacked, x, y)
+    got_xy = mf.metric_tangent(stacked, mf.tan_mul(stacked, x, y), z)
+    assert got.shape == got_xy.shape == (3,)
+    for k, pt in enumerate(pts):
+        for g, one in ((got[k], mf.metric_tangent(pt, x, y)),
+                       (got_xy[k], mf.metric_tangent(pt, mf.tan_mul(pt, x, y), z))):
+            assert abs(g - one) <= 1e-14 * abs(one), k
+    assert isinstance(mf.metric_tangent(pts[0], x, y), complex)
+
+
+def test_taylor_reciprocal_of_a_stack_is_its_rows_reciprocals():
+    fs = [LS(0, [2.0 - 0.5j, 0.3, 1.0]), LS(0, [-1.5, 0.0, 0.7j]), LS(0, [0.9j, -0.4, 1.0])]
+    got = la.taylor_reciprocal_at_zero(LS(0, np.stack([f.c for f in fs])), 6)
+    for k, f in enumerate(fs):
+        one = la.taylor_reciprocal_at_zero(f, 6)
+        assert np.max(np.abs(got.window(0, 6)[k] - one.window(0, 6))) <= 1e-15 * one.max_abs()
+        assert la.series_dist((f * one).restrict(0, 6), LS.one()) <= 1e-15
+    with pytest.raises(la.SingularAtZero):
+        la.taylor_reciprocal_at_zero(LS(0, np.stack([fs[0].c, [0.0, 1.0, 1.0]])), 6)
+
+
+def slot_widths(v) -> list:
+    return [f.c.shape[-1] for f in vars(v).values()]
+
+
+@pytest.mark.parametrize("uv", [(0.0, 0.0), (0.3, -0.2)])
+def test_inverses_on_the_locus_are_monomials(uv):
+    # w = z there, so w^-3 and the lowered flat frames are single terms;
+    # the division window's other 240 columns are rounding noise
+    pt = mf.locus_point(*uv)
+    wm3 = pt.w_pow(-3)
+    assert (wm3.lo, wm3.c.shape) == (-3, (1,))
+    assert abs(wm3.coeff(-3) - 1.0) < 1e-15
+    for n in (5, -5):
+        o = mf.eta_inverse(pt, fc.flat_frame(pt, n))
+        assert sorted(slot_widths(o)) == [0, 1], n
+
+
+def test_lowered_width_does_not_follow_the_division_window():
+    x = mf.sample_tangent(31, n=12)
+    for s in (1, 2, 3):
+        o96 = mf.eta_inverse(mf.sample_point(s, n=96), x)
+        o384 = mf.eta_inverse(mf.sample_point(s, n=384), x)
+        for w96, w384 in zip(slot_widths(o96), slot_widths(o384)):
+            assert abs(w96 - w384) < 40, (s, w96, w384)
+
+
+@pytest.mark.parametrize("n", [24, 96, 384])
+def test_resolved_products_match_the_full_quotients(n, monkeypatch):
+    x, y, z = (mf.sample_tangent(s, n=12) for s in (31, 32, 33))
+    pt = mf.sample_point(n, n=n)
+    xy = mf.tan_mul(pt, x, y)
+    g = mf.metric_tangent(pt, xy, z)
+    monkeypatch.setattr(mf, "_resolved", lambda q: q)
+    full_pt = mf.Point(pt.lam, pt.lbar)
+    full_xy = mf.tan_mul(full_pt, x, y)
+    full_g = mf.metric_tangent(full_pt, full_xy, z)
+    assert sum(slot_widths(full_xy)) > sum(slot_widths(xy))
+    assert xy.dist(full_xy) <= 1e-14 * size(full_xy)
+    assert abs(g - full_g) <= 1e-14 * abs(full_g)
+
+
+def test_resolved_drops_only_columns_at_the_rounding_floor():
+    # on w^-3 and on the quotients eta_inverse lowers, one point and a stack
+    pts = [mf.sample_point(s, n=24) for s in (1, 2, 3)]
+    x = mf.sample_tangent(31, n=12)
+    num = x.a + x.ab
+    h = PT.inv_halfband
+    quotients = [la.divide_on_circle(LS.one(), PT.w**3, -h - 3, h - 3)]
+    for pt in (pts[0], stack_points(pts, 24)):
+        quotients.append(la.divide_on_circle(num, pt.w_p, *mf._inv_window(pt, num)))
+    for g in quotients:
+        kept = mf._resolved(g)
+        assert g.lo <= kept.lo and kept.hi <= g.hi and kept.c.shape[-1] < g.c.shape[-1]
+        mag = np.atleast_2d(np.abs(g.c))
+        floor = np.finfo(float).eps * mag.max(axis=-1, keepdims=True)
+        a, b = kept.lo - g.lo, kept.hi - g.lo + 1
+        assert (mag[:, :a] <= floor).all() and (mag[:, b:] <= floor).all()
+        # the kept band is g's own, and each of its end columns is above
+        # the floor in some row
+        assert np.array_equal(kept.c, g.c[..., a:b])
+        assert (mag[:, a] > floor[:, 0]).any() and (mag[:, b - 1] > floor[:, 0]).any()

@@ -17,7 +17,7 @@ import todafrob.laurent as la
 import todafrob.manifold as mf
 import todafrob.potential as po
 
-PT = mf.sample_point(11)
+PT = mf.sample_point(11, n=24)
 PTF = mf.sample_point(7, n=8, scale=0.03)
 
 # double-contour radii: inside the annulus where w stays zero-free

@@ -159,7 +159,7 @@ def test_point_series_reach_the_grid_only_through_on_grid():
 
 # Parameters with a default, positional and keyword-only, in src/todafrob.
 # Lower this whenever a knob is deleted, so a deleted one cannot come back.
-KEYWORD_DEFAULTS_CEILING = 48
+KEYWORD_DEFAULTS_CEILING = 46
 
 
 def keyword_defaults(path: Path) -> int:

@@ -206,7 +206,7 @@ def test_lowered_products_are_bit_equal_to_tan_mul(where):
         pt = mf.locus_point(0.3, -0.2)
         xs = [fc.flat_frame(pt, m).scale(-1.0) for m in (-3, 0, 2)] + [mf.frame_u(pt)]
     else:
-        pt = mf.sample_point(5)
+        pt = mf.sample_point(5, n=24)
         xs = [mf.sample_tangent(s) for s in (11, 12, 13)]
     low = [vf._lower(pt, x) for x in xs]
     for i, x in enumerate(xs):
